@@ -34,6 +34,7 @@ from .quotient import canonical_partition, characteristic_matrix, divisor_matrix
 from .reports import (
     ALL_CHECKS,
     ScanRow,
+    VerificationError,
     report_to_dict,
     reports_to_csv,
     reports_to_json,
@@ -177,7 +178,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             value = " ".join(f"{k}={v:.2f}ms" for k, v in value.items())
         elif isinstance(value, bool):
             value = "true" if value else "false"
-        elif isinstance(value, list):
+        elif isinstance(value, tuple):
             value = ",".join(str(x) for x in value)
         print(f"{name:<18}{value}")
     return 0
@@ -280,9 +281,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (VerificationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, VerificationError) else 2
 
 
 def run() -> None:

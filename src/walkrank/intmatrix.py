@@ -6,6 +6,7 @@ overflow no matter how fast walk counts grow.
 
 from __future__ import annotations
 
+import operator
 from typing import Sequence
 
 
@@ -23,7 +24,8 @@ class IntMatrix:
             )
         self.rows = rows
         self.cols = cols
-        self._data = tuple(int(x) for x in data)
+        # operator.index rejects floats and strings instead of truncating them
+        self._data = tuple(map(operator.index, data))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
@@ -52,7 +54,7 @@ class IntMatrix:
             raise ValueError("too many diagonal entries for the requested shape")
         data = [0] * (rows * cols)
         for i, d in enumerate(entries):
-            data[i * cols + i] = int(d)
+            data[i * cols + i] = d
         return cls(rows, cols, data)
 
     def __getitem__(self, key: tuple[int, int]) -> int:
@@ -78,12 +80,6 @@ class IntMatrix:
             self.rows,
             [self._data[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)],
         )
-
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
-    def max_abs(self) -> int:
-        return max(abs(x) for x in self._data)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if not isinstance(other, IntMatrix):
@@ -154,16 +150,18 @@ def _pick_pivot(a: list[list[int]], col: int, start: int, nrows: int) -> int:
     return best
 
 
-def rank_fraction_free(m: IntMatrix) -> int:
-    """Rank over the rationals via Bareiss fraction-free elimination.
+def _bareiss(m: IntMatrix) -> tuple[int, int, int]:
+    """Bareiss fraction-free elimination of a copy of m.
 
-    Pivots are the nonzero column entries of least magnitude, which keeps the
-    intermediate integers (all minors of the input) small; every division is
-    exact.
+    Returns (rank, sign of the row swaps, last pivot). Pivots are the nonzero
+    column entries of least magnitude, which keeps the intermediate integers
+    (all minors of the input) small; every division is exact. For a square
+    matrix of full rank, sign * last pivot is the determinant.
     """
     a = m.to_rows()
     nrows, ncols = m.rows, m.cols
     prev = 1
+    sign = 1
     r = 0
     for c in range(ncols):
         if r == nrows:
@@ -173,6 +171,7 @@ def rank_fraction_free(m: IntMatrix) -> int:
             continue
         if piv != r:
             a[r], a[piv] = a[piv], a[r]
+            sign = -sign
         prow = a[r]
         p = prow[c]
         for i in range(r + 1, nrows):
@@ -187,38 +186,20 @@ def rank_fraction_free(m: IntMatrix) -> int:
             arow[c] = 0
         prev = p
         r += 1
-    return r
+    return r, sign, prev
+
+
+def rank_fraction_free(m: IntMatrix) -> int:
+    """Rank over the rationals via Bareiss fraction-free elimination."""
+    return _bareiss(m)[0]
 
 
 def det_exact(m: IntMatrix) -> int:
     """Exact integer determinant via the same fraction-free elimination."""
     if m.rows != m.cols:
         raise ValueError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
-    a = m.to_rows()
-    k = m.rows
-    prev = 1
-    sign = 1
-    for c in range(k):
-        piv = _pick_pivot(a, c, c, k)
-        if piv < 0:
-            return 0
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            sign = -sign
-        prow = a[c]
-        p = prow[c]
-        for i in range(c + 1, k):
-            arow = a[i]
-            f = arow[c]
-            if f:
-                for j in range(c + 1, k):
-                    arow[j] = (p * arow[j] - f * prow[j]) // prev
-            elif p != prev:
-                for j in range(c + 1, k):
-                    arow[j] = (p * arow[j]) // prev
-            arow[c] = 0
-        prev = p
-    return sign * a[k - 1][k - 1]
+    rank, sign, last_pivot = _bareiss(m)
+    return sign * last_pivot if rank == m.rows else 0
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

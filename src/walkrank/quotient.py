@@ -127,5 +127,4 @@ def hat_walk_matrix(w: IntMatrix) -> IntMatrix:
     size = w.rows
     if size < 5:
         raise ValueError(f"need at least a 5x5 walk matrix, got {size}x{size}")
-    rows = w.to_rows()
-    return IntMatrix.from_rows([row[: size - 2] for row in rows[1 : size - 1]])
+    return IntMatrix.from_rows([w.row(i)[: size - 2] for i in range(1, size - 1)])

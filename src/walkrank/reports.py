@@ -8,18 +8,21 @@ import io
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
-from typing import Iterable, Sequence
+from dataclasses import asdict, dataclass, field
+from functools import cached_property
+from types import NoneType, UnionType
+from typing import Iterable, Sequence, get_args, get_origin, get_type_hints
 
-from .graphs import adjacency_matrix, make_extended_dynkin
+from .graphs import Graph, adjacency_matrix, make_extended_dynkin
 from .intmatrix import IntMatrix, rank_fraction_free, walk_matrix
 from .quotient import (
+    EquitablePartition,
     canonical_partition,
     characteristic_matrix,
     divisor_matrix,
     hat_walk_matrix,
 )
-from .snf import build_w_prime, smith_normal_form
+from .snf import SnfResult, build_w_prime, smith_normal_form
 from .spectra import (
     count_main_eigenvalues,
     divisor_eigenpairs,
@@ -28,8 +31,6 @@ from .spectra import (
 )
 
 ALL_CHECKS = ("rank", "hat", "snf-equiv", "hagos", "conjecture", "eigpairs")
-# conjecture verdicts are recorded output, never gating
-THEOREM_CHECKS = tuple(c for c in ALL_CHECKS if c != "conjecture")
 
 EIGENPAIR_RESIDUAL_TOL = 1e-10
 DOT_PATTERN_TOL = 1e-9
@@ -66,6 +67,7 @@ class ScanRow:
 
     @property
     def theorem_ok(self) -> bool:
+        """Whether every check passed; conjecture verdicts are recorded, never gating."""
         return all(ok for name, ok in self.passed.items() if name != "conjecture")
 
 
@@ -83,12 +85,8 @@ def conjecture_check(n: int) -> tuple[str, tuple[int, ...]]:
     Returns ('holds' | 'fails', observed factors). A mismatch is a finding to
     report, not an error, so nothing is asserted here.
     """
-    if n < 4:
-        raise ValueError(f"order must be >= 4, got {n}")
-    w = walk_matrix(adjacency_matrix(make_extended_dynkin(n)))
-    observed = smith_normal_form(w).invariant_factors
-    verdict = "holds" if observed == conjectured_factors(n) else "fails"
-    return verdict, observed
+    rep = run_checks(n, ("conjecture",)).report
+    return ("holds" if rep.conjecture_holds else "fails"), rep.snf_w
 
 
 def _validate_checks(checks: Iterable[str]) -> tuple[str, ...]:
@@ -101,121 +99,140 @@ def _validate_checks(checks: Iterable[str]) -> tuple[str, ...]:
     return out
 
 
-def run_checks(n: int, checks: Iterable[str] = ALL_CHECKS) -> ScanRow:
-    """Run the selected checks at one order and collect the report row.
+class _Order:
+    """The artifacts of one order n, each built on first use and timed once.
 
-    Only the machinery a selected check needs is built, so exact-only scans
-    never touch the floating-point code paths.
+    A stage's inputs are fetched before its clock starts, so no stage's time
+    includes another's and the timings add up to at most the elapsed time.
     """
-    if n < 4:
-        raise ValueError(f"order must be >= 4, got {n}")
-    checks = _validate_checks(checks)
-    rep = VerifyReport(n=n)
-    passed: dict[str, bool] = {}
-    timings: dict[str, float] = {}
 
-    def timed(key: str, fn):
+    def __init__(self, n: int):
+        self.partition = canonical_partition(n)  # rejects n < 4
+        self.n = n
+        self.timings: dict[str, float] = {}
+
+    def timed(self, key: str, fn, *args):
         t0 = time.perf_counter()
-        out = fn()
-        timings[key] = timings.get(key, 0.0) + (time.perf_counter() - t0) * 1000.0
+        out = fn(*args)
+        self.timings[key] = self.timings.get(key, 0.0) + (time.perf_counter() - t0) * 1000.0
         return out
 
-    graph = make_extended_dynkin(n)
-    adj = adjacency_matrix(graph)
+    @cached_property
+    def graph(self) -> Graph:
+        return self.timed("graph", make_extended_dynkin, self.n)
 
-    w: IntMatrix | None = None
-    b: IntMatrix | None = None
-    snf_w = None
+    @cached_property
+    def adj(self) -> IntMatrix:
+        return self.timed("graph", adjacency_matrix, self.graph)
 
-    def get_w() -> IntMatrix:
-        nonlocal w
-        if w is None:
-            w = timed("walk_matrix", lambda: walk_matrix(adj))
-        return w
+    @cached_property
+    def w(self) -> IntMatrix:
+        return self.timed("walk_matrix", walk_matrix, self.adj)
 
-    def get_b() -> IntMatrix:
-        nonlocal b
-        if b is None:
-            b = timed("quotient", lambda: divisor_matrix(graph, canonical_partition(n)))
-        return b
+    @cached_property
+    def b(self) -> IntMatrix:
+        return self.timed("divisor", divisor_matrix, self.graph, self.partition)
 
-    def get_snf_w():
-        nonlocal snf_w
-        if snf_w is None:
-            snf_w = timed("snf_w", lambda: smith_normal_form(get_w()))
-            rep.snf_w = snf_w.invariant_factors
-        return snf_w
+    @cached_property
+    def snf_w(self) -> SnfResult:
+        return self.timed("snf_w", smith_normal_form, self.w)
+
+    @cached_property
+    def hat(self) -> IntMatrix:
+        """W with its first and last rows and last two columns dropped."""
+        return self.timed("hat", hat_walk_matrix, self.w)
+
+    @cached_property
+    def wb(self) -> IntMatrix:
+        """The walk matrix of the divisor matrix B."""
+        return self.timed("hat", walk_matrix, self.b)
+
+
+def _ap_equals_pb(n: int, adj: IntMatrix, b: IntMatrix, partition: EquitablePartition) -> bool:
+    p_mat = characteristic_matrix(partition, n + 1)
+    return adj @ p_mat == p_mat @ b
+
+
+def _eigenpairs_ok(n: int, b: IntMatrix) -> bool:
+    for pair in divisor_eigenpairs(n):
+        if eigenpair_residual(b, pair) >= EIGENPAIR_RESIDUAL_TOL:
+            return False
+        if abs(sum(pair.vector) - main_value_pattern(n, pair.k)) > DOT_PATTERN_TOL:
+            return False
+    return True
+
+
+def _check_order(order: _Order, checks: Iterable[str]) -> ScanRow:
+    checks = _validate_checks(checks)
+    n = order.n
+    rep = VerifyReport(n=n, timings=order.timings)
+    passed: dict[str, bool] = {}
 
     if "rank" in checks:
-        r_bareiss = timed("rank_bareiss", lambda: rank_fraction_free(get_w()))
-        r_snf = get_snf_w().rank
-        rep.rank_exact = r_snf
+        r_bareiss = order.timed("rank_bareiss", rank_fraction_free, order.w)
+        rep.snf_w = order.snf_w.invariant_factors
+        rep.rank_exact = order.snf_w.rank
         rep.rank_expected = n // 2
-        passed["rank"] = r_snf == r_bareiss == n // 2
+        passed["rank"] = rep.rank_exact == r_bareiss == n // 2
 
     if "hat" in checks:
-        part = canonical_partition(n)
-        p_mat = timed("quotient", lambda: characteristic_matrix(part, n + 1))
-        ap_eq_pb = timed("quotient", lambda: adj @ p_mat == p_mat @ get_b())
-        hat_eq = timed(
-            "quotient",
-            lambda: hat_walk_matrix(get_w()) == walk_matrix(get_b()),
-        )
-        rep.hat_equals_wb = hat_eq
-        passed["hat"] = ap_eq_pb and hat_eq
+        ap_eq_pb = order.timed("ap_pb", _ap_equals_pb, n, order.adj, order.b, order.partition)
+        rep.hat_equals_wb = order.hat == order.wb
+        passed["hat"] = ap_eq_pb and rep.hat_equals_wb
 
     if "snf-equiv" in checks:
-        get_snf_w()
-        snf_wp = timed("snf_wprime", lambda: smith_normal_form(build_w_prime(get_w())))
-        rep.snf_wprime = snf_wp.invariant_factors
+        rep.snf_w = order.snf_w.invariant_factors
+        w = order.w
+        rep.snf_wprime = order.timed(
+            "snf_wprime", lambda: smith_normal_form(build_w_prime(w))
+        ).invariant_factors
         rep.integrally_equiv = rep.snf_w == rep.snf_wprime
         passed["snf-equiv"] = rep.integrally_equiv
 
     if "hagos" in checks:
-        spectrum = timed("main_eigenvalues", lambda: count_main_eigenvalues(graph))
+        spectrum = order.timed("main_eigenvalues", count_main_eigenvalues, order.graph)
         rep.main_count = spectrum.main_count
         if rep.rank_exact is None:
-            rep.rank_exact = timed("rank_bareiss", lambda: rank_fraction_free(get_w()))
+            rep.rank_exact = order.timed("rank_bareiss", rank_fraction_free, order.w)
         rep.rank_expected = n // 2
         passed["hagos"] = rep.main_count == rep.rank_exact == n // 2
 
     if "conjecture" in checks:
-        get_snf_w()
+        rep.snf_w = order.snf_w.invariant_factors
         rep.conjecture_holds = rep.snf_w == conjectured_factors(n)
         passed["conjecture"] = rep.conjecture_holds
 
     if "eigpairs" in checks:
-        def eig_ok() -> bool:
-            bmat = get_b()
-            for pair in divisor_eigenpairs(n):
-                if eigenpair_residual(bmat, pair) >= EIGENPAIR_RESIDUAL_TOL:
-                    return False
-                dot = sum(pair.vector)
-                if abs(dot - main_value_pattern(n, pair.k)) > DOT_PATTERN_TOL:
-                    return False
-            return True
+        passed["eigpairs"] = order.timed("eigpairs", _eigenpairs_ok, n, order.b)
 
-        passed["eigpairs"] = timed("eigpairs", eig_ok)
-
-    rep.timings = timings
     return ScanRow(rep, passed)
+
+
+def run_checks(n: int, checks: Iterable[str] = ALL_CHECKS) -> ScanRow:
+    """Run the selected checks at one order and collect the report row.
+
+    Only the machinery a selected check needs is built, so exact-only scans
+    never touch the floating-point code paths. The timings hold one key per
+    stage, in milliseconds: graph, walk_matrix, divisor, snf_w, rank_bareiss,
+    ap_pb, hat, snf_wprime, main_eigenvalues and eigpairs.
+    """
+    return _check_order(_Order(n), checks)
 
 
 def verify(n: int) -> VerifyReport:
     """Full verification at one order.
 
-    Builds the walk matrix, its trimmed and zero-padded relatives, and the
-    quotient, then checks the four-way rank equality exactly; any violation of
-    a proven identity raises VerificationError.
+    Runs every check, then compares the ranks of W, the zero-padded W', the
+    trimmed walk matrix and the walk matrix of the quotient, all built once by
+    the checks; any violation of a proven identity raises VerificationError.
     """
-    row = run_checks(n, ALL_CHECKS)
+    order = _Order(n)
+    row = _check_order(order, ALL_CHECKS)
     rep = row.report
-    w = walk_matrix(adjacency_matrix(make_extended_dynkin(n)))
-    b = divisor_matrix(make_extended_dynkin(n), canonical_partition(n))
     rank_w = rep.rank_exact
     rank_wprime = len(rep.snf_wprime or ())
-    rank_hat = rank_fraction_free(hat_walk_matrix(w))
-    rank_wb = rank_fraction_free(walk_matrix(b))
+    rank_hat = rank_fraction_free(order.hat)
+    rank_wb = rank_fraction_free(order.wb)
     if not rank_w == rank_wprime == rank_hat == rank_wb:
         raise VerificationError(
             f"rank chain broken at n={n}: "
@@ -255,20 +272,40 @@ def scan(
     return rows
 
 
-_REPORT_FIELDS = tuple(f.name for f in fields(VerifyReport))
-_TUPLE_FIELDS = ("snf_w", "snf_wprime")
-_BOOL_FIELDS = ("hat_equals_wb", "integrally_equiv", "conjecture_holds")
-_INT_FIELDS = ("n", "rank_exact", "rank_expected", "main_count")
+def _field_types() -> dict[str, tuple[type, bool]]:
+    """Report field -> (its type without None, whether it may be None)."""
+    out = {}
+    for name, hint in get_type_hints(VerifyReport).items():
+        args = get_args(hint) if get_origin(hint) is UnionType else (hint,)
+        (base,) = [a for a in args if a is not NoneType]
+        out[name] = (get_origin(base) or base, NoneType in args)
+    return out
+
+
+_FIELD_TYPES = _field_types()
+_REPORT_FIELDS = tuple(_FIELD_TYPES)
+
+
+def _decode(name: str, value: object) -> object:
+    """One report field from its JSON value, checked against the field's type.
+
+    Both parsers go through here, so neither coerces: a float where an int
+    belongs, or a string where a bool belongs, raises ValueError.
+    """
+    kind, optional = _FIELD_TYPES[name]
+    if value is None:
+        if optional:
+            return None
+    elif kind is tuple:
+        if type(value) is list and all(type(x) is int for x in value):
+            return tuple(value)
+    elif type(value) is kind:
+        return value
+    raise ValueError(f"{name}: {value!r} is not a valid {kind.__name__}")
 
 
 def report_to_dict(rep: VerifyReport) -> dict:
-    out: dict = {}
-    for name in _REPORT_FIELDS:
-        value = getattr(rep, name)
-        if name in _TUPLE_FIELDS and value is not None:
-            value = list(value)
-        out[name] = value
-    return out
+    return asdict(rep)
 
 
 def reports_to_json(reports: Sequence[VerifyReport]) -> str:
@@ -276,17 +313,27 @@ def reports_to_json(reports: Sequence[VerifyReport]) -> str:
 
 
 def parse_scan_json(text: str) -> list[VerifyReport]:
-    rows = json.loads(text)
-    out = []
-    for obj in rows:
-        kwargs = {}
-        for name in _REPORT_FIELDS:
-            value = obj[name]
-            if name in _TUPLE_FIELDS and value is not None:
-                value = tuple(value)
-            kwargs[name] = value
-        out.append(VerifyReport(**kwargs))
-    return out
+    return [
+        VerifyReport(**{name: _decode(name, obj[name]) for name in _REPORT_FIELDS})
+        for obj in json.loads(text)
+    ]
+
+
+def _csv_cell(value: object) -> str:
+    """The JSON encoding of a field; None is empty and a tuple space-separated."""
+    if value is None:
+        return ""
+    if isinstance(value, tuple):
+        return " ".join(str(x) for x in value)
+    return json.dumps(value)
+
+
+def _cell_json(name: str, cell: str) -> object:
+    if cell == "":
+        return None
+    if _FIELD_TYPES[name][0] is tuple:
+        return [json.loads(tok) for tok in cell.split()]
+    return json.loads(cell)
 
 
 def reports_to_csv(reports: Sequence[VerifyReport]) -> str:
@@ -294,20 +341,7 @@ def reports_to_csv(reports: Sequence[VerifyReport]) -> str:
     writer = csv.writer(buf)
     writer.writerow(_REPORT_FIELDS)
     for rep in reports:
-        row = []
-        for name in _REPORT_FIELDS:
-            value = getattr(rep, name)
-            if value is None:
-                row.append("")
-            elif name in _TUPLE_FIELDS:
-                row.append(" ".join(str(x) for x in value))
-            elif name in _BOOL_FIELDS:
-                row.append("true" if value else "false")
-            elif name == "timings":
-                row.append(json.dumps(value))
-            else:
-                row.append(str(value))
-        writer.writerow(row)
+        writer.writerow([_csv_cell(getattr(rep, name)) for name in _REPORT_FIELDS])
     return buf.getvalue()
 
 
@@ -316,19 +350,9 @@ def parse_scan_csv(text: str) -> list[VerifyReport]:
     header = next(reader)
     if tuple(header) != _REPORT_FIELDS:
         raise ValueError("unexpected CSV header")
-    out = []
-    for cells in reader:
-        kwargs: dict = {}
-        for name, cell in zip(_REPORT_FIELDS, cells):
-            if cell == "" and name != "timings":
-                kwargs[name] = None
-            elif name in _TUPLE_FIELDS:
-                kwargs[name] = tuple(int(tok) for tok in cell.split())
-            elif name in _BOOL_FIELDS:
-                kwargs[name] = cell == "true"
-            elif name in _INT_FIELDS:
-                kwargs[name] = int(cell)
-            elif name == "timings":
-                kwargs[name] = json.loads(cell) if cell else {}
-        out.append(VerifyReport(**kwargs))
-    return out
+    return [
+        VerifyReport(
+            **{name: _decode(name, _cell_json(name, cell)) for name, cell in zip(_REPORT_FIELDS, cells)}
+        )
+        for cells in reader
+    ]

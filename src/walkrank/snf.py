@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .intmatrix import IntMatrix
+from .quotient import hat_walk_matrix
 
 
 @dataclass(frozen=True)
@@ -163,16 +164,8 @@ def integrally_equivalent(a: IntMatrix, b: IntMatrix) -> bool:
 def build_w_prime(w: IntMatrix) -> IntMatrix:
     """Zero-padded embedding of the trimmed walk matrix.
 
-    Keeps entries in rows 2..n and columns 1..n-1 (1-indexed) of the square
-    input and zeroes the first row, the last row, and the last two columns.
+    Pads hat_walk_matrix(w) back to the size of w: the first row, the last
+    row and the last two columns are zero.
     """
-    if w.rows != w.cols:
-        raise ValueError(f"expected a square walk matrix, got {w.rows}x{w.cols}")
-    size = w.rows
-    if size < 5:
-        raise ValueError(f"need at least a 5x5 walk matrix, got {size}x{size}")
-    src = w.to_rows()
-    out = [[0] * size for _ in range(size)]
-    for i in range(1, size - 1):
-        out[i][: size - 2] = src[i][: size - 2]
-    return IntMatrix.from_rows(out)
+    padded = [row + [0, 0] for row in hat_walk_matrix(w).to_rows()]
+    return IntMatrix.from_rows([[0] * w.rows, *padded, [0] * w.rows])

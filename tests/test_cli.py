@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import walkrank.reports as reports
 from walkrank.cli import main
 from walkrank.graphs import adjacency_matrix, format_edge_list, make_extended_dynkin, make_path
 from walkrank.intmatrix import format_matrix_text, parse_matrix_text, walk_matrix
@@ -134,6 +135,14 @@ class TestVerify:
         assert "rank_exact" in out
         assert "snf_w             1,1,1,7" in out
         assert "integrally_equiv  true" in out
+
+    def test_theorem_failure_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(reports, "rank_fraction_free", lambda m: 0)
+        code, out, err = run_cli(capsys, "verify", "8")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: rank chain broken")
+        assert len(err.splitlines()) == 1
 
     def test_bad_order(self, capsys):
         code, _, err = run_cli(capsys, "verify", "3")

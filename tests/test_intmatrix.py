@@ -47,6 +47,12 @@ class TestIntMatrix:
         with pytest.raises(ValueError):
             IntMatrix(0, 1, [])
 
+    def test_rejects_non_integer_entries(self):
+        with pytest.raises(TypeError):
+            IntMatrix(1, 2, [1.9, 2])
+        with pytest.raises(TypeError):
+            IntMatrix.from_rows([["3", 4]])
+
     def test_from_rows_ragged(self):
         with pytest.raises(ValueError):
             IntMatrix.from_rows([[1, 2], [3]])

@@ -1,3 +1,6 @@
+import itertools
+from types import SimpleNamespace
+
 import pytest
 
 import walkrank.reports as reports
@@ -5,6 +8,8 @@ from walkrank.graphs import adjacency_matrix, make_extended_dynkin
 from walkrank.intmatrix import walk_matrix
 from walkrank.reports import (
     ALL_CHECKS,
+    VerificationError,
+    VerifyReport,
     conjecture_check,
     conjectured_factors,
     parse_scan_csv,
@@ -55,6 +60,17 @@ class TestVerify:
     def test_rejects_small_order(self):
         with pytest.raises(ValueError):
             verify(3)
+
+
+    def test_broken_rank_chain_raises(self, monkeypatch):
+        monkeypatch.setattr(reports, "rank_fraction_free", lambda m: 0)
+        with pytest.raises(VerificationError, match="rank chain broken at n=8"):
+            verify(8)
+
+    def test_failed_check_raises(self, monkeypatch):
+        monkeypatch.setattr(reports, "eigenpair_residual", lambda b, pair: 1.0)
+        with pytest.raises(VerificationError, match="checks failed at n=8: eigpairs"):
+            verify(8)
 
 
 class TestConjectureCheck:
@@ -121,6 +137,17 @@ class TestRunChecks:
         assert row.passed == {"conjecture": True}
         assert row.theorem_ok  # verdicts never gate
 
+    def test_stage_timings_never_overlap(self, monkeypatch):
+        # The clock moves one second per read and a stage reads it twice, so
+        # stages timed once each, none inside another, add up to half the reads.
+        reads = itertools.count()
+        monkeypatch.setattr(reports, "time", SimpleNamespace(perf_counter=lambda: next(reads)))
+        start = next(reads)
+        timings = run_checks(12, ["hat"]).report.timings
+        steps = next(reads) - start - 1
+        assert sum(timings.values()) <= 1000.0 * steps / 2
+        assert {"walk_matrix", "divisor", "ap_pb", "hat"} <= set(timings)
+
     def test_rejects_unknown_check(self):
         with pytest.raises(ValueError):
             run_checks(8, ("rank", "banana"))
@@ -184,6 +211,16 @@ class TestSerialization:
         rows = [row.report for row in scan(4, 6, checks=("rank",))]
         assert parse_scan_json(reports_to_json(rows)) == rows
         assert parse_scan_csv(reports_to_csv(rows)) == rows
+
+    def test_csv_rejects_non_bool(self):
+        text = reports_to_csv([VerifyReport(n=8, hat_equals_wb=True)])
+        with pytest.raises(ValueError):
+            parse_scan_csv(text.replace("true", "yes"))
+
+    def test_json_rejects_non_integer(self):
+        text = reports_to_json([VerifyReport(n=8, rank_exact=4)])
+        with pytest.raises(ValueError):
+            parse_scan_json(text.replace('"rank_exact": 4', '"rank_exact": 1.5'))
 
     def test_csv_rejects_foreign_header(self):
         with pytest.raises(ValueError):
