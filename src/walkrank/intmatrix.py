@@ -22,9 +22,12 @@ class IntMatrix:
             raise ValueError(
                 f"a {rows}x{cols} matrix needs {rows * cols} entries, got {len(data)}"
             )
+        # operator.index rejects floats and strings instead of truncating them,
+        # but takes True for 1, so bools are refused by type first
+        if bool in set(map(type, data)):
+            raise TypeError("matrix entries must be integers, got a bool")
         self.rows = rows
         self.cols = cols
-        # operator.index rejects floats and strings instead of truncating them
         self._data = tuple(map(operator.index, data))
 
     @classmethod
@@ -67,7 +70,9 @@ class IntMatrix:
         return self._data[i * self.cols : (i + 1) * self.cols]
 
     def column(self, j: int) -> tuple[int, ...]:
-        return tuple(self._data[i * self.cols + j] for i in range(self.rows))
+        if not 0 <= j < self.cols:
+            raise IndexError(f"column {j} outside {self.rows}x{self.cols}")
+        return self._data[j :: self.cols]
 
     def to_rows(self) -> list[list[int]]:
         """Mutable copy as a list of row lists."""
@@ -88,11 +93,15 @@ class IntMatrix:
             raise ValueError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        bt = other.transpose().to_rows()
-        out = []
-        for i in range(self.rows):
-            arow = self.row(i)
-            out.extend(sum(x * y for x, y in zip(arow, bcol)) for bcol in bt)
+        # row i of the product is the sum of a * (row k of other) over the
+        # nonzero entries a = self[i, k]
+        brows = [other.row(k) for k in range(other.rows)]
+        out: list[int] = []
+        for support in row_support(self):
+            acc = [0] * other.cols
+            for k, a in support:
+                acc = [x + a * y for x, y in zip(acc, brows[k])]
+            out.extend(acc)
         return IntMatrix(self.rows, other.cols, out)
 
     def __eq__(self, other: object) -> bool:
@@ -109,6 +118,15 @@ class IntMatrix:
         return f"IntMatrix({self.rows}x{self.cols})"
 
 
+def row_support(m: IntMatrix) -> list[list[tuple[int, int]]]:
+    """Per row, the (column, value) pairs of its nonzero entries.
+
+    Adjacency, characteristic and divisor matrices are mostly zeros, so
+    products that walk this skip almost all of the work.
+    """
+    return [[(j, val) for j, val in enumerate(m.row(i)) if val] for i in range(m.rows)]
+
+
 def walk_matrix(m: IntMatrix, width: int | None = None) -> IntMatrix:
     """Matrix whose j-th column is m^(j-1) applied to the all-ones vector.
 
@@ -123,16 +141,19 @@ def walk_matrix(m: IntMatrix, width: int | None = None) -> IntMatrix:
         width = k
     if width < 1:
         raise ValueError(f"width must be >= 1, got {width}")
-    # nonzero structure per row; adjacency and divisor matrices are sparse
-    support = [
-        [(j, val) for j, val in enumerate(m.row(i)) if val] for i in range(k)
-    ]
+    support = row_support(m)
     cols: list[list[int]] = [[1] * k]
     v = cols[0]
     for _ in range(width - 1):
-        v = [sum(val * v[j] for j, val in support[i]) for i in range(k)]
+        nxt = []
+        for row in support:
+            acc = 0
+            for j, val in row:
+                acc += val * v[j]
+            nxt.append(acc)
+        v = nxt
         cols.append(v)
-    return IntMatrix(k, width, [cols[j][i] for i in range(k) for j in range(width)])
+    return IntMatrix(k, width, [x for row in zip(*cols) for x in row])
 
 
 def _pick_pivot(a: list[list[int]], col: int, start: int, nrows: int) -> int:

@@ -3,6 +3,7 @@ trimmed walk matrix they predict."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .graphs import Graph
@@ -72,14 +73,27 @@ def _check_cover(g: Graph, p: EquitablePartition) -> None:
         raise ValueError("partition does not cover the graph's vertex set exactly")
 
 
-def _equitability_witness(g: Graph, p: EquitablePartition) -> tuple[int, int] | None:
-    """First cell pair (1-indexed) with inconsistent neighbor counts, or None."""
-    nbrs = g.neighbor_sets()
+def _neighbor_cell_counts(g: Graph, p: EquitablePartition) -> dict[int, Counter[int]]:
+    """Per vertex, how many of its neighbors lie in each cell (cells 0-indexed)."""
+    cell_of = {v: c for c, cell in enumerate(p.cells) for v in cell}
+    return {v: Counter(cell_of[w] for w in ws) for v, ws in g.neighbor_sets().items()}
+
+
+def _equitability_witness(
+    p: EquitablePartition, counts: dict[int, Counter[int]]
+) -> tuple[int, int] | None:
+    """First cell pair (1-indexed, row-major) with inconsistent neighbor counts, or None.
+
+    Cells i and j are consistent when every vertex of cell i has the same
+    nonzero count c in cell j, so that the pair (j, c) turns up |cell i| times,
+    or when no vertex of cell i has a neighbor in cell j. Any other tally
+    marks (i, j). The work is linear in the number of edges.
+    """
     for i, cell in enumerate(p.cells):
-        for j, other in enumerate(p.cells):
-            counts = {len(nbrs[v] & other) for v in cell}
-            if len(counts) > 1:
-                return (i + 1, j + 1)
+        tally = Counter(pair for v in cell for pair in counts[v].items())
+        bad = [j for (j, _), seen in tally.items() if seen != len(cell)]
+        if bad:
+            return (i + 1, min(bad) + 1)
     return None
 
 
@@ -87,7 +101,7 @@ def is_equitable(g: Graph, p: EquitablePartition) -> bool:
     """Whether every vertex of each cell sees the same number of neighbors in
     every cell."""
     _check_cover(g, p)
-    return _equitability_witness(g, p) is None
+    return _equitability_witness(p, _neighbor_cell_counts(g, p)) is None
 
 
 def characteristic_matrix(p: EquitablePartition, order: int) -> IntMatrix:
@@ -109,15 +123,16 @@ def divisor_matrix(g: Graph, p: EquitablePartition) -> IntMatrix:
     corrupt everything downstream.
     """
     _check_cover(g, p)
-    witness = _equitability_witness(g, p)
+    counts = _neighbor_cell_counts(g, p)
+    witness = _equitability_witness(p, counts)
     if witness is not None:
         raise NotEquitableError(*witness)
-    nbrs = g.neighbor_sets()
-    rows = []
-    for cell in p.cells:
-        v = next(iter(cell))
-        rows.append([len(nbrs[v] & other) for other in p.cells])
-    return IntMatrix.from_rows(rows)
+    k = p.cell_count
+    data = [0] * (k * k)
+    for i, cell in enumerate(p.cells):
+        for j, c in counts[next(iter(cell))].items():
+            data[i * k + j] = c
+    return IntMatrix(k, k, data)
 
 
 def hat_walk_matrix(w: IntMatrix) -> IntMatrix:

@@ -6,8 +6,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from types import NoneType, UnionType
@@ -249,6 +249,17 @@ def _scan_worker(args: tuple[int, tuple[str, ...]]) -> ScanRow:
     return run_checks(n, checks)
 
 
+def _worker_count(jobs: int, orders: int, cpus: int | None) -> int:
+    """Processes a scan of `orders` orders uses when asked for `jobs`.
+
+    More workers than CPUs or than orders would only wait; `cpus` is
+    os.cpu_count(), which may be None.
+    """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    return min(jobs, cpus or 1, orders)
+
+
 def scan(
     from_n: int,
     to_n: int,
@@ -257,16 +268,21 @@ def scan(
 ) -> list[ScanRow]:
     """Run the selected checks for every n in [from_n, to_n].
 
-    Rows come back sorted by n regardless of how many workers ran them.
+    Uses min(jobs, CPU count, number of orders) processes. Rows come back
+    sorted by n regardless of how many workers ran them.
     """
     if from_n < 4 or to_n < from_n:
         raise ValueError(f"scan range must satisfy 4 <= from <= to, got {from_n}..{to_n}")
     checks = _validate_checks(checks)
     work = [(n, checks) for n in range(from_n, to_n + 1)]
-    if jobs <= 1:
+    workers = _worker_count(jobs, len(work), os.cpu_count())
+    if workers == 1:
         rows = [_scan_worker(item) for item in work]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # imported here so that a serial scan never loads the process pool
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_scan_worker, work))
     rows.sort(key=lambda row: row.report.n)
     return rows
@@ -320,10 +336,11 @@ def parse_scan_json(text: str) -> list[VerifyReport]:
 
 
 def _csv_cell(value: object) -> str:
-    """The JSON encoding of a field; None is empty and a tuple space-separated."""
+    """The JSON encoding of a field; None is empty, a nonempty tuple
+    space-separated and the empty tuple `[]`."""
     if value is None:
         return ""
-    if isinstance(value, tuple):
+    if isinstance(value, tuple) and value:
         return " ".join(str(x) for x in value)
     return json.dumps(value)
 
@@ -331,7 +348,7 @@ def _csv_cell(value: object) -> str:
 def _cell_json(name: str, cell: str) -> object:
     if cell == "":
         return None
-    if _FIELD_TYPES[name][0] is tuple:
+    if _FIELD_TYPES[name][0] is tuple and cell != "[]":
         return [json.loads(tok) for tok in cell.split()]
     return json.loads(cell)
 

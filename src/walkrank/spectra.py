@@ -5,6 +5,7 @@ spectral determinant formula for walk matrices."""
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -170,7 +171,7 @@ def eigenpair_residual(m: IntMatrix, pair: ClosedFormEigenpair) -> float:
     v = pair.vector
     worst = 0.0
     for j in range(k):
-        s = sum(m[i, j] * v[i] for i in range(k))
+        s = sum(map(operator.mul, m.column(j), v))
         worst = max(worst, abs(s - pair.eigenvalue * v[j]))
     return worst
 

@@ -158,6 +158,12 @@ class TestScan:
         assert len(lines) == 8  # 7 rows + summary
         assert lines[-1].startswith("OK")
 
+    def test_jobs_below_one_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "scan", "--from", "4", "--to", "6", "--jobs", "0")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: jobs must be >= 1")
+
     def test_json_matches_library_scan(self, capsys):
         code, out, _ = run_cli(
             capsys, "scan", "--from", "4", "--to", "8", "--checks", "rank,snf-equiv", "--format", "json"

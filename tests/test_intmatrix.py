@@ -52,6 +52,10 @@ class TestIntMatrix:
             IntMatrix(1, 2, [1.9, 2])
         with pytest.raises(TypeError):
             IntMatrix.from_rows([["3", 4]])
+        with pytest.raises(TypeError):
+            IntMatrix(1, 2, [True, 2])
+        with pytest.raises(TypeError):
+            IntMatrix.from_rows([[3], [False]])
 
     def test_from_rows_ragged(self):
         with pytest.raises(ValueError):
@@ -63,12 +67,35 @@ class TestIntMatrix:
         assert m.row(0) == (1, 2, 3)
         assert m.column(1) == (2, 5)
         assert m.transpose().row(2) == (3, 6)
+        for j in (-1, 3):
+            with pytest.raises(IndexError):
+                m.column(j)
 
     def test_matmul(self):
         a = IntMatrix.from_rows([[1, 2], [3, 4]])
         assert (a @ IntMatrix.identity(2)) == a
         b = IntMatrix.from_rows([[0, 1], [1, 0]])
         assert (a @ b).to_rows() == [[2, 1], [4, 3]]
+
+    @pytest.mark.parametrize(
+        "shape", [(1, 1, 1), (1, 5, 1), (5, 1, 5), (1, 4, 6), (6, 4, 1), (3, 7, 2), (9, 9, 9)]
+    )
+    def test_matmul_matches_dense_reference(self, shape):
+        rows, inner, cols = shape
+        rng = random.Random(sum(shape))
+        entries = (0, 0, 0, 1, -1, 7, -(10**30), 3**40)
+        for _ in range(20):
+            a = [[rng.choice(entries) for _ in range(inner)] for _ in range(rows)]
+            b = [[rng.choice(entries) for _ in range(cols)] for _ in range(inner)]
+            a[rng.randrange(rows)] = [0] * inner
+            for r in b:
+                r[rng.randrange(cols)] = 0
+            want = [
+                [sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
+                for i in range(rows)
+            ]
+            got = IntMatrix.from_rows(a) @ IntMatrix.from_rows(b)
+            assert got.to_rows() == want
 
     def test_matmul_shape_error(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from walkrank.graphs import adjacency_matrix, make_extended_dynkin, make_path
+from walkrank.graphs import Graph, adjacency_matrix, make_extended_dynkin, make_path
 from walkrank.intmatrix import IntMatrix, rank_fraction_free, walk_matrix
 from walkrank.quotient import (
     EquitablePartition,
@@ -15,6 +17,33 @@ from walkrank.quotient import (
 
 def _cells(*groups):
     return EquitablePartition(tuple(frozenset(g) for g in groups))
+
+
+def _brute_force_witness(g, part):
+    """First cell pair (row-major, 1-indexed) whose vertices disagree, by definition."""
+    nbrs = g.neighbor_sets()
+    for i, cell in enumerate(part.cells):
+        for j, other in enumerate(part.cells):
+            if len({len(nbrs[v] & other) for v in cell}) > 1:
+                return (i + 1, j + 1)
+    return None
+
+
+def _random_cases(seed, count):
+    """Seeded random graphs on 1..8 vertices, each with a random partition."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        order = rng.randint(1, 8)
+        pairs = [(u, v) for u in range(1, order + 1) for v in range(u + 1, order + 1)]
+        density = rng.random()
+        g = Graph(order, frozenset(e for e in pairs if rng.random() < density))
+        labels = [rng.randrange(rng.randint(1, order)) for _ in range(order)]
+        groups = {}
+        for v, label in enumerate(labels, start=1):
+            groups.setdefault(label, set()).add(v)
+        cells = list(groups.values())
+        rng.shuffle(cells)
+        yield g, _cells(*cells)
 
 
 class TestPartitionType:
@@ -145,6 +174,24 @@ class TestDivisorMatrix:
     def test_rejects_cover_mismatch(self):
         with pytest.raises(ValueError):
             divisor_matrix(make_path(4), _cells({1, 2}, {3}))
+
+    def test_witness_and_entries_match_the_definition(self):
+        equitable = 0
+        for g, part in _random_cases(seed=4, count=400):
+            want = _brute_force_witness(g, part)
+            assert is_equitable(g, part) is (want is None)
+            if want is None:
+                equitable += 1
+                nbrs = g.neighbor_sets()
+                b = divisor_matrix(g, part)
+                for i, cell in enumerate(part.cells):
+                    v = min(cell)
+                    assert b.row(i) == tuple(len(nbrs[v] & other) for other in part.cells)
+            else:
+                with pytest.raises(NotEquitableError) as err:
+                    divisor_matrix(g, part)
+                assert (err.value.cell_a, err.value.cell_b) == want
+        assert 20 < equitable < 380
 
 
 class TestHatWalkMatrix:

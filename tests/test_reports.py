@@ -1,4 +1,7 @@
 import itertools
+import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -194,6 +197,39 @@ class TestScan:
         with pytest.raises(ValueError):
             scan(10, 4)
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_rejects_jobs_below_one(self, jobs):
+        with pytest.raises(ValueError, match="jobs"):
+            scan(4, 6, jobs=jobs)
+
+    @pytest.mark.parametrize(
+        "jobs, orders, cpus, want",
+        [
+            (1, 97, 8, 1),
+            (2, 97, 8, 2),
+            (8, 97, 2, 2),
+            (8, 3, 16, 3),
+            (10**6, 97, 2, 2),
+            (4, 97, None, 1),
+        ],
+    )
+    def test_worker_count(self, jobs, orders, cpus, want):
+        assert reports._worker_count(jobs, orders, cpus) == want
+
+    def test_import_leaves_the_process_pool_unloaded(self):
+        code = (
+            "import sys, walkrank; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(reports.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"
+
 
 class TestSerialization:
     def _rows(self):
@@ -209,6 +245,11 @@ class TestSerialization:
 
     def test_round_trip_with_partial_fields(self):
         rows = [row.report for row in scan(4, 6, checks=("rank",))]
+        assert parse_scan_json(reports_to_json(rows)) == rows
+        assert parse_scan_csv(reports_to_csv(rows)) == rows
+
+    def test_empty_tuple_stays_distinct_from_none(self):
+        rows = [VerifyReport(n=4, snf_w=()), VerifyReport(n=5, snf_w=None, snf_wprime=(1, 3))]
         assert parse_scan_json(reports_to_json(rows)) == rows
         assert parse_scan_csv(reports_to_csv(rows)) == rows
 

@@ -132,6 +132,19 @@ class TestDivisorEigenpairs:
         for pair in divisor_eigenpairs(n):
             assert eigenpair_residual(b, pair) < 1e-10
 
+    @pytest.mark.parametrize("n", range(4, 41))
+    def test_residual_is_the_dense_formula(self, n):
+        # the entrywise loop the residual used to run, kept as the reference
+        b = divisor_matrix(make_extended_dynkin(n), canonical_partition(n))
+        k = b.rows
+        for pair in divisor_eigenpairs(n):
+            v = pair.vector
+            want = 0.0
+            for j in range(k):
+                s = sum(b[i, j] * v[i] for i in range(k))
+                want = max(want, abs(s - pair.eigenvalue * v[j]))
+            assert eigenpair_residual(b, pair) == want
+
     @pytest.mark.parametrize("n", range(4, 65))
     def test_eigenvalues_pairwise_separated(self, n):
         values = sorted(p.eigenvalue for p in divisor_eigenpairs(n))
