@@ -42,7 +42,7 @@ from .reports import (
     verify,
 )
 from .snf import rank_via_snf, smith_normal_form
-from .spectra import count_main_eigenvalues
+from .spectra import ConvergenceError, count_main_eigenvalues
 
 FAMILIES = {
     "path": make_path,
@@ -281,9 +281,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (VerificationError, ValueError) as exc:
+    except (VerificationError, ConvergenceError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1 if isinstance(exc, VerificationError) else 2
+        return 2 if isinstance(exc, ValueError) else 1
 
 
 def run() -> None:

@@ -223,11 +223,14 @@ def det_exact(m: IntMatrix) -> int:
     return sign * last_pivot if rank == m.rows else 0
 
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the least strong pseudoprime to all of _MR_BASES, the first thirteen primes
+# (OEIS A014233; a product of two primes)
+_MR_DETERMINISTIC_BELOW = 3317044064679887385961981
 
 
 def _is_prime(p: int) -> bool:
-    # deterministic Miller-Rabin for p < 3.3e24, which covers every sane modulus
+    # deterministic Miller-Rabin for p < _MR_DETERMINISTIC_BELOW
     if p < 2:
         return False
     for q in _MR_BASES:
@@ -256,8 +259,14 @@ def rank_modular(m: IntMatrix, p: int) -> int:
 
     Always a lower bound for the rational rank (strictly lower exactly when p
     divides some pivoting minor), so this is a consistency probe, not ground
-    truth.
+    truth. Moduli at or above _MR_DETERMINISTIC_BELOW are rejected, since
+    primality is not certain there.
     """
+    if p >= _MR_DETERMINISTIC_BELOW:
+        raise ValueError(
+            f"modulus {p} is at or above {_MR_DETERMINISTIC_BELOW}, where the "
+            "primality test is not deterministic"
+        )
     if not _is_prime(p):
         raise ValueError(f"modulus must be prime, got {p}")
     a = [[x % p for x in m.row(i)] for i in range(m.rows)]

@@ -1,6 +1,8 @@
-"""Floating-point spectra: a self-contained Jacobi eigensolver, main-eigenvalue
-counting, closed-form eigenpairs of the transposed divisor matrix, and the
-spectral determinant formula for walk matrices."""
+"""Floating-point spectra: a self-contained symmetric eigensolver (Householder
+tridiagonalisation and implicit-shift QL), main-eigenvalue counting with a
+residual summed over each vertex's neighbours, closed-form eigenpairs of the
+transposed divisor matrix, and the spectral determinant formula for walk
+matrices."""
 
 from __future__ import annotations
 
@@ -13,8 +15,12 @@ from .graphs import Graph, adjacency_matrix
 from .intmatrix import IntMatrix
 
 _SYMMETRY_RTOL = 1e-12
-_JACOBI_RTOL = 1e-12
-_MAX_SWEEPS = 100
+_EPS = 2.0**-52
+_MAX_QL_ITERATIONS = 30  # QL steps per eigenvalue, EISPACK's cap; about two are typical
+
+
+class ConvergenceError(ArithmeticError):
+    """An iterative float route stopped at its iteration cap."""
 
 
 @dataclass(frozen=True)
@@ -46,58 +52,131 @@ def _as_float_rows(m: IntMatrix | Sequence[Sequence[float]]) -> list[list[float]
     return rows
 
 
+def _householder_tridiagonal(
+    a: list[list[float]],
+) -> tuple[list[float], list[float], list[list[float]]]:
+    """Householder reduction of a symmetric matrix (EISPACK's tred2), in place.
+
+    Returns the diagonal d, the off-diagonal e (e[i] couples i and i+1; e[-1]
+    is 0) and Q^T, whose rows are the basis the tridiagonal form is written in.
+    Row i is reduced by a reflector on indices 0..i-1; a zero row needs none.
+    """
+    k = len(a)
+    d = [0.0] * k
+    e = [0.0] * k
+    reflectors = []
+    for i in range(k - 1, 0, -1):
+        row = a[i][:i]
+        d[i] = a[i][i]
+        if not any(row):
+            continue
+        scale = sum(map(abs, row))
+        u = [x / scale for x in row]
+        h = sum(x * x for x in u)
+        f = u[-1]
+        g = -math.copysign(math.sqrt(h), f)
+        e[i - 1] = scale * g
+        h -= f * g
+        u[-1] = f - g
+        # A <- H A H with H = I - u u^T / h, on the leading i x i block
+        p = [sum(map(operator.mul, a[r], u)) / h for r in range(i)]
+        half = sum(map(operator.mul, u, p)) / (2.0 * h)
+        q = [x - half * y for x, y in zip(p, u)]
+        for r in range(i):
+            ur, qr = u[r], q[r]
+            a[r][:i] = [x - ur * qj - qr * uj for x, qj, uj in zip(a[r], q, u)]
+        reflectors.append((i, u, h))
+    d[0] = a[0][0]
+    # Q^T = H_2 H_3 ... H_{k-1}, built by right products on the rows it touches
+    qt = [[1.0 if i == j else 0.0 for j in range(k)] for i in range(k)]
+    for i, u, h in reversed(reflectors):
+        for r in range(i):
+            row = qt[r]
+            c = sum(map(operator.mul, row, u)) / h
+            row[:i] = [x - c * y for x, y in zip(row, u)]
+    return d, e, qt
+
+
+def _implicit_ql(d: list[float], e: list[float], qt: list[list[float]]) -> None:
+    """Implicit-shift QL on a tridiagonal matrix (EISPACK's tql2), rotating qt's rows.
+
+    On return d holds the eigenvalues and row i of qt the eigenvector of d[i].
+    """
+    k = len(d)
+    shift = 0.0
+    tst1 = 0.0
+    for l in range(k):
+        tst1 = max(tst1, abs(d[l]) + abs(e[l]))
+        m = l
+        while abs(e[m]) > _EPS * tst1:
+            m += 1
+        iterations = 0
+        while abs(e[l]) > _EPS * tst1:
+            if iterations == _MAX_QL_ITERATIONS:
+                raise ConvergenceError(
+                    f"QL iteration for eigenvalue {l} did not converge "
+                    f"within {_MAX_QL_ITERATIONS} iterations"
+                )
+            iterations += 1
+            g = d[l]
+            p = (d[l + 1] - g) / (2.0 * e[l])
+            r = math.copysign(math.hypot(p, 1.0), p)
+            d[l] = e[l] / (p + r)
+            d[l + 1] = e[l] * (p + r)
+            dl1 = d[l + 1]
+            h = g - d[l]
+            for i in range(l + 2, k):
+                d[i] -= h
+            shift += h
+            p = d[m]
+            c = c2 = c3 = 1.0
+            el1 = e[l + 1]
+            s = s2 = 0.0
+            for i in range(m - 1, l - 1, -1):
+                c3, c2, s2 = c2, c, s
+                g = c * e[i]
+                h = c * p
+                r = math.hypot(p, e[i])
+                e[i + 1] = s * r
+                s = e[i] / r
+                c = p / r
+                p = c * d[i] - s * g
+                d[i + 1] = h + s * (c * g + s * d[i])
+                lo, hi = qt[i], qt[i + 1]
+                qt[i + 1] = [s * x + c * y for x, y in zip(lo, hi)]
+                qt[i] = [c * x - s * y for x, y in zip(lo, hi)]
+            p = -s * s2 * c3 * el1 * e[l] / dl1
+            e[l] = s * p
+            d[l] = c * p
+        d[l] += shift
+        e[l] = 0.0
+
+
 def symmetric_eigen(
     m: IntMatrix | Sequence[Sequence[float]],
 ) -> tuple[list[float], list[list[float]]]:
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+    """Full eigendecomposition of a symmetric matrix.
 
-    Returns eigenvalues in ascending order and the matching orthonormal
-    eigenvectors. Sweeps stop once the off-diagonal Frobenius mass drops below
-    1e-12 of the input's Frobenius norm.
+    Householder tridiagonalisation followed by implicit-shift QL with the
+    eigenvectors accumulated (Wilkinson & Reinsch, Handbook for Automatic
+    Computation II, 1971; Parlett, The Symmetric Eigenvalue Problem). Returns
+    eigenvalues in ascending order and the matching orthonormal eigenvectors.
+    Raises ConvergenceError when one eigenvalue needs more than
+    _MAX_QL_ITERATIONS QL steps.
     """
     a = _as_float_rows(m)
     k = len(a)
+    if k == 0:
+        raise ValueError("matrix must be non-empty")
     scale = max(1.0, max(abs(x) for row in a for x in row))
     for i in range(k):
         for j in range(i + 1, k):
             if abs(a[i][j] - a[j][i]) > _SYMMETRY_RTOL * scale:
                 raise ValueError(f"matrix is not symmetric at ({i}, {j})")
-    v = [[1.0 if i == j else 0.0 for j in range(k)] for i in range(k)]
-    norm = math.sqrt(sum(x * x for row in a for x in row))
-    threshold = _JACOBI_RTOL * norm
-    for _ in range(_MAX_SWEEPS):
-        off = math.sqrt(sum(a[i][j] ** 2 for i in range(k) for j in range(k) if i != j))
-        if off <= threshold:
-            break
-        for p in range(k - 1):
-            for q in range(p + 1, k):
-                apq = a[p][q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q][q] - a[p][p]) / (2.0 * apq)
-                if theta >= 0.0:
-                    t = 1.0 / (theta + math.sqrt(theta * theta + 1.0))
-                else:
-                    t = -1.0 / (-theta + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                a[p][p] -= t * apq
-                a[q][q] += t * apq
-                a[p][q] = a[q][p] = 0.0
-                for r in range(k):
-                    if r in (p, q):
-                        continue
-                    arp, arq = a[r][p], a[r][q]
-                    a[r][p] = a[p][r] = c * arp - s * arq
-                    a[r][q] = a[q][r] = s * arp + c * arq
-                for r in range(k):
-                    vrp, vrq = v[r][p], v[r][q]
-                    v[r][p] = c * vrp - s * vrq
-                    v[r][q] = s * vrp + c * vrq
-    order = sorted(range(k), key=lambda i: a[i][i])
-    values = [a[i][i] for i in order]
-    vectors = [[v[r][i] for r in range(k)] for i in order]
-    return values, vectors
+    d, e, qt = _householder_tridiagonal(a)
+    _implicit_ql(d, e, qt)
+    order = sorted(range(k), key=d.__getitem__)
+    return [d[i] for i in order], [qt[i] for i in order]
 
 
 def count_main_eigenvalues(
@@ -112,15 +191,16 @@ def count_main_eigenvalues(
     """
     if group_tol <= 0 or proj_tol <= 0:
         raise ValueError("tolerances must be positive")
-    rows = _as_float_rows(adjacency_matrix(g))
     k = g.order
-    values, vectors = symmetric_eigen(rows)
-    max_residual = 0.0
-    for lam, vec in zip(values, vectors):
-        for i in range(k):
-            resid = abs(sum(rows[i][j] * vec[j] for j in range(k)) - lam * vec[i])
-            if resid > max_residual:
-                max_residual = resid
+    values, vectors = symmetric_eigen(adjacency_matrix(g))
+    # (A v)_i is the sum of v over the neighbours of i, so the worst residual
+    # costs O(order * edges) rather than a dense product per eigenpair
+    nbrs = [sorted(u - 1 for u in adj) for adj in g.neighbor_sets().values()]
+    max_residual = max(
+        abs(sum(vec[j] for j in adj) - lam * x)
+        for lam, vec in zip(values, vectors)
+        for adj, x in zip(nbrs, vec)
+    )
     groups: list[tuple[float, int]] = []
     flags: list[bool] = []
     start = 0

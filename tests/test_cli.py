@@ -3,6 +3,7 @@ import json
 import pytest
 
 import walkrank.reports as reports
+import walkrank.spectra as spectra
 from walkrank.cli import main
 from walkrank.graphs import adjacency_matrix, format_edge_list, make_extended_dynkin, make_path
 from walkrank.intmatrix import format_matrix_text, parse_matrix_text, walk_matrix
@@ -88,6 +89,14 @@ class TestRank:
         assert code == 2
         assert "prime" in err
 
+    def test_modulus_beyond_deterministic_primality(self, capsys):
+        code, out, err = run_cli(
+            capsys, "rank", "ext-dynkin:8", "--method", "mod:3317044064679887385961981"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "deterministic" in err
+
 
 class TestSnf:
     def test_factor_lines(self, capsys):
@@ -126,6 +135,13 @@ class TestSpectrum:
         code, _, err = run_cli(capsys, "spectrum", "ext-dynkin:8", "--group-tol", "0.05")
         assert code == 0
         assert "warning" in err
+
+    def test_no_convergence_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(spectra, "_MAX_QL_ITERATIONS", 0)
+        code, out, err = run_cli(capsys, "spectrum", "ext-dynkin:8")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestVerify:

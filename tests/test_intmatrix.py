@@ -186,6 +186,21 @@ class TestRankModular:
         with pytest.raises(ValueError):
             rank_modular(IntMatrix.identity(2), 91)
 
+    def test_largest_prime_below_the_deterministic_bound(self):
+        # 3317044064679887385961981 is the least strong pseudoprime to the
+        # thirteen Miller-Rabin bases; this is the largest prime below it
+        assert rank_modular(_w8(), 3317044064679887385961813) == W8_RANK
+
+    def test_rejects_the_least_strong_pseudoprime_to_twelve_bases(self):
+        # 399165290221 * 798330580441 passes Miller-Rabin to every prime base
+        # up to 37, so base 41 is what rejects it
+        with pytest.raises(ValueError, match="must be prime"):
+            rank_modular(IntMatrix.identity(2), 318665857834031151167461)
+
+    def test_rejects_modulus_at_the_deterministic_bound(self):
+        with pytest.raises(ValueError, match="not deterministic"):
+            rank_modular(IntMatrix.identity(2), 3317044064679887385961981)
+
     @pytest.mark.parametrize("p", [2, 3, 101, 1073741827])
     def test_order8_lower_bound(self, p):
         assert rank_modular(_w8(), p) <= W8_RANK

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import walkrank.spectra as spectra
 from walkrank.graphs import from_edge_list, make_extended_dynkin
 from walkrank.intmatrix import IntMatrix, det_exact, walk_matrix
 from walkrank.quotient import canonical_partition, divisor_matrix
@@ -64,6 +65,27 @@ class TestSymmetricEigen:
                 dot = sum(a * b for a, b in zip(u, w))
                 assert dot == pytest.approx(1.0 if i == j else 0.0, abs=1e-10)
 
+    def test_iteration_cap(self, monkeypatch):
+        monkeypatch.setattr(spectra, "_MAX_QL_ITERATIONS", 0)
+        with pytest.raises(ArithmeticError, match="eigenvalue 0 .* within 0 iterations"):
+            symmetric_eigen([[2.0, 1.0], [1.0, 2.0]])
+        # a diagonal matrix is already converged and needs no QL step
+        values, vectors = symmetric_eigen([[3.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 3.0]])
+        assert values == [1.0, 3.0, 3.0]
+        assert vectors[0] == [0.0, 1.0, 0.0]
+
+    @pytest.mark.parametrize("cap", range(6))
+    def test_capped_solver_raises_or_converges(self, monkeypatch, cap):
+        # stopping the iteration early must raise, never return unconverged values
+        m = [[2.0, 1.0, 0.0, 0.5], [1.0, 2.0, 1.0, 0.0], [0.0, 1.0, 2.0, 1.0], [0.5, 0.0, 1.0, 2.0]]
+        want, _ = symmetric_eigen(m)
+        monkeypatch.setattr(spectra, "_MAX_QL_ITERATIONS", cap)
+        try:
+            values, _ = symmetric_eigen(m)
+        except spectra.ConvergenceError:
+            return
+        assert values == pytest.approx(want, abs=1e-13)
+
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             symmetric_eigen([[0.0, 1.0], [0.5, 0.0]])
@@ -71,6 +93,10 @@ class TestSymmetricEigen:
     def test_rejects_ragged(self):
         with pytest.raises(ValueError):
             symmetric_eigen([[0.0, 1.0], [1.0]])
+
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            symmetric_eigen([])
 
 
 class TestCountMainEigenvalues:
@@ -95,6 +121,22 @@ class TestCountMainEigenvalues:
         assert len(report.main_flags) == len(report.groups)
         assert report.main_count == sum(report.main_flags)
         assert report.max_residual < 1e-9
+
+    @pytest.mark.parametrize(
+        "g", [make_extended_dynkin(n) for n in range(4, 31)] + [_complete_graph(5)]
+    )
+    def test_residual_is_the_dense_formula(self, g):
+        # the dense loop the residual used to run, kept as the reference
+        adj = [[0.0] * g.order for _ in range(g.order)]
+        for u, v in g.edges:
+            adj[u - 1][v - 1] = adj[v - 1][u - 1] = 1.0
+        values, vectors = symmetric_eigen(adj)
+        want = max(
+            abs(sum(adj[i][j] * vec[j] for j in range(g.order)) - lam * vec[i])
+            for lam, vec in zip(values, vectors)
+            for i in range(g.order)
+        )
+        assert count_main_eigenvalues(g).max_residual == want
 
     def test_rejects_bad_tolerances(self):
         g = make_extended_dynkin(4)

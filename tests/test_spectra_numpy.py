@@ -1,0 +1,94 @@
+"""The float eigensolver and main-eigenvalue count against numpy's LAPACK routines."""
+
+import random
+
+import pytest
+
+from walkrank.graphs import adjacency_matrix, from_edge_list, make_extended_dynkin
+from walkrank.intmatrix import rank_fraction_free, walk_matrix
+from walkrank.spectra import count_main_eigenvalues, symmetric_eigen
+
+np = pytest.importorskip("numpy")
+
+
+def _random_symmetric(rng, k):
+    m = [[0.0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            m[i][j] = m[j][i] = rng.uniform(-5.0, 5.0)
+    return m
+
+
+def _adjacency_rows(g):
+    m = [[0.0] * g.order for _ in range(g.order)]
+    for u, v in g.edges:
+        m[u - 1][v - 1] = m[v - 1][u - 1] = 1.0
+    return m
+
+
+def _random_tree(rng, order):
+    return from_edge_list(order, [(rng.randint(1, v - 1), v) for v in range(2, order + 1)])
+
+
+def _complete(k):
+    return [[0.0 if i == j else 1.0 for j in range(k)] for i in range(k)]
+
+
+DIAG = (2, -1, 2, 0, -1, 2)
+REPEATED = (
+    [("zero", [[0.0] * 5 for _ in range(5)])]
+    + [(f"K{k}", _complete(k)) for k in (1, 2, 3, 7, 16)]
+    + [("diag", [[float(d) if i == j else 0.0 for j in range(6)] for i, d in enumerate(DIAG)])]
+    + [(f"ext-dynkin:{n}", _adjacency_rows(make_extended_dynkin(n))) for n in range(4, 61)]
+)
+
+
+def _check_against_eigvalsh(m):
+    a = np.array(m)
+    values, vectors = symmetric_eigen(m)
+    tol = 1e-10 * max(1.0, np.linalg.norm(a, 2))
+    assert np.max(np.abs(np.array(values) - np.linalg.eigvalsh(a))) <= tol
+    basis = np.array(vectors)
+    assert np.max(np.abs(basis @ basis.T - np.eye(len(m)))) <= 1e-10
+
+
+@pytest.mark.parametrize("k", range(1, 31))
+def test_random_symmetric_matches_eigvalsh(k):
+    rng = random.Random(1000 + k)
+    for _ in range(3):
+        _check_against_eigvalsh(_random_symmetric(rng, k))
+
+
+@pytest.mark.parametrize("name,m", REPEATED, ids=[name for name, _ in REPEATED])
+def test_repeated_eigenvalues_match_eigvalsh(name, m):
+    _check_against_eigvalsh(m)
+
+
+def _numpy_main_count(g, group_tol=1e-8, proj_tol=1e-8):
+    """Main eigenvalues from numpy's eigh, grouped as count_main_eigenvalues documents."""
+    values, vectors = np.linalg.eigh(np.array(_adjacency_rows(g)))
+    proj = vectors.sum(axis=0) ** 2
+    count, start, k = 0, 0, g.order
+    while start < k:
+        stop = start + 1
+        while stop < k and values[stop] - values[stop - 1] <= group_tol:
+            stop += 1
+        count += np.sqrt(proj[start:stop].sum()) > proj_tol * np.sqrt(k)
+        start = stop
+    return int(count)
+
+
+@pytest.mark.parametrize("n", range(4, 61))
+def test_main_count_matches_numpy_on_extended_dynkin(n):
+    g = make_extended_dynkin(n)
+    assert count_main_eigenvalues(g).main_count == _numpy_main_count(g) == n // 2
+
+
+def test_main_count_matches_numpy_on_random_trees():
+    rng = random.Random(5)
+    for _ in range(50):
+        g = _random_tree(rng, rng.randint(2, 30))
+        count = count_main_eigenvalues(g).main_count
+        assert count == _numpy_main_count(g)
+        # Hagos: the number of main eigenvalues is the rank of the walk matrix
+        assert count == rank_fraction_free(walk_matrix(adjacency_matrix(g)))
