@@ -1,17 +1,11 @@
 """Exact-arithmetic toolkit for walk matrices of Dynkin-type tree families:
 graph generators, big-integer rank and Smith normal form, equitable-partition
-quotients, spectra, and verification scans."""
+quotients, spectra, and verification scans.
 
-from .graphs import (
-    Graph,
-    adjacency_matrix,
-    format_edge_list,
-    from_edge_list,
-    make_dynkin,
-    make_extended_dynkin,
-    make_path,
-    parse_edge_list,
-)
+The top level re-exports only the exact matrix kernels; everything else is
+imported from its submodule.
+"""
+
 from .intmatrix import (
     IntMatrix,
     det_exact,
@@ -19,92 +13,7 @@ from .intmatrix import (
     parse_matrix_text,
     rank_fraction_free,
     rank_modular,
-    walk_matrix,
 )
-from .quotient import (
-    EquitablePartition,
-    NotEquitableError,
-    canonical_partition,
-    characteristic_matrix,
-    divisor_matrix,
-    hat_walk_matrix,
-    is_equitable,
-)
-from .reports import (
-    ScanRow,
-    VerificationError,
-    VerifyReport,
-    conjecture_check,
-    conjectured_factors,
-    run_checks,
-    scan,
-    verify,
-)
-from .snf import (
-    SnfResult,
-    build_w_prime,
-    integrally_equivalent,
-    rank_via_snf,
-    smith_normal_form,
-)
-from .spectra import (
-    ClosedFormEigenpair,
-    SpectrumReport,
-    cosine_sum,
-    count_main_eigenvalues,
-    det_walk_spectral,
-    divisor_eigenpairs,
-    eigenpair_residual,
-    main_value_pattern,
-    symmetric_eigen,
-)
+from .snf import rank_via_snf, smith_normal_form
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Graph",
-    "adjacency_matrix",
-    "format_edge_list",
-    "from_edge_list",
-    "make_dynkin",
-    "make_extended_dynkin",
-    "make_path",
-    "parse_edge_list",
-    "IntMatrix",
-    "det_exact",
-    "format_matrix_text",
-    "parse_matrix_text",
-    "rank_fraction_free",
-    "rank_modular",
-    "walk_matrix",
-    "EquitablePartition",
-    "NotEquitableError",
-    "canonical_partition",
-    "characteristic_matrix",
-    "divisor_matrix",
-    "hat_walk_matrix",
-    "is_equitable",
-    "ScanRow",
-    "VerificationError",
-    "VerifyReport",
-    "conjecture_check",
-    "conjectured_factors",
-    "run_checks",
-    "scan",
-    "verify",
-    "SnfResult",
-    "build_w_prime",
-    "integrally_equivalent",
-    "rank_via_snf",
-    "smith_normal_form",
-    "ClosedFormEigenpair",
-    "SpectrumReport",
-    "cosine_sum",
-    "count_main_eigenvalues",
-    "det_walk_spectral",
-    "divisor_eigenpairs",
-    "eigenpair_residual",
-    "main_value_pattern",
-    "symmetric_eigen",
-    "__version__",
-]

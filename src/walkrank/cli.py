@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .graphs import (
@@ -35,7 +36,6 @@ from .reports import (
     ALL_CHECKS,
     ScanRow,
     VerificationError,
-    report_to_dict,
     reports_to_csv,
     reports_to_json,
     scan,
@@ -173,7 +173,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     rep = verify(args.n)
-    for name, value in report_to_dict(rep).items():
+    for name, value in asdict(rep).items():
         if name == "timings":
             value = " ".join(f"{k}={v:.2f}ms" for k, v in value.items())
         elif isinstance(value, bool):

@@ -56,13 +56,6 @@ class Graph:
             degs[v] += 1
         return tuple(degs[1:])
 
-    def delete_vertex(self, v: int) -> "Graph":
-        """Graph on 1..order-1; only valid for deleting the last label."""
-        if v != self.order:
-            raise ValueError("only the highest-labeled vertex can be deleted")
-        kept = [(a, b) for a, b in self.edges if v not in (a, b)]
-        return Graph(self.order - 1, frozenset(kept))
-
 
 def from_edge_list(order: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Graph from explicit pairs; duplicates collapse, self-loops are rejected."""

@@ -127,24 +127,19 @@ def row_support(m: IntMatrix) -> list[list[tuple[int, int]]]:
     return [[(j, val) for j, val in enumerate(m.row(i)) if val] for i in range(m.rows)]
 
 
-def walk_matrix(m: IntMatrix, width: int | None = None) -> IntMatrix:
+def walk_matrix(m: IntMatrix) -> IntMatrix:
     """Matrix whose j-th column is m^(j-1) applied to the all-ones vector.
 
     Columns are produced by repeated matrix-vector products; matrix powers are
-    never formed. `width` defaults to the matrix order and may be smaller when
-    only a leading slab of columns is wanted.
+    never formed.
     """
     if m.rows != m.cols:
         raise ValueError(f"walk matrix needs a square input, got {m.rows}x{m.cols}")
     k = m.rows
-    if width is None:
-        width = k
-    if width < 1:
-        raise ValueError(f"width must be >= 1, got {width}")
     support = row_support(m)
     cols: list[list[int]] = [[1] * k]
     v = cols[0]
-    for _ in range(width - 1):
+    for _ in range(k - 1):
         nxt = []
         for row in support:
             acc = 0
@@ -153,7 +148,7 @@ def walk_matrix(m: IntMatrix, width: int | None = None) -> IntMatrix:
             nxt.append(acc)
         v = nxt
         cols.append(v)
-    return IntMatrix(k, width, [x for row in zip(*cols) for x in row])
+    return IntMatrix(k, k, [x for row in zip(*cols) for x in row])
 
 
 def _pick_pivot(a: list[list[int]], col: int, start: int, nrows: int) -> int:

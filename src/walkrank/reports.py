@@ -66,9 +66,13 @@ class ScanRow:
     passed: dict[str, bool]
 
     @property
+    def theorem_failures(self) -> list[str]:
+        """Failed theorem-backed checks; conjecture verdicts are recorded, never gating."""
+        return [name for name, ok in self.passed.items() if not ok and name != "conjecture"]
+
+    @property
     def theorem_ok(self) -> bool:
-        """Whether every check passed; conjecture verdicts are recorded, never gating."""
-        return all(ok for name, ok in self.passed.items() if name != "conjecture")
+        return not self.theorem_failures
 
 
 def conjectured_factors(n: int) -> tuple[int, ...]:
@@ -76,17 +80,6 @@ def conjectured_factors(n: int) -> tuple[int, ...]:
     r = n // 2
     last = n - 1 if n % 2 == 0 else (n - 1) // 2
     return (1,) * (r - 1) + (last,)
-
-
-def conjecture_check(n: int) -> tuple[str, tuple[int, ...]]:
-    """Compare observed invariant factors of the walk matrix with the guessed
-    pattern.
-
-    Returns ('holds' | 'fails', observed factors). A mismatch is a finding to
-    report, not an error, so nothing is asserted here.
-    """
-    rep = run_checks(n, ("conjecture",)).report
-    return ("holds" if rep.conjecture_holds else "fails"), rep.snf_w
 
 
 def _validate_checks(checks: Iterable[str]) -> tuple[str, ...]:
@@ -165,6 +158,7 @@ def _eigenpairs_ok(n: int, b: IntMatrix) -> bool:
 def _check_order(order: _Order, checks: Iterable[str]) -> ScanRow:
     checks = _validate_checks(checks)
     n = order.n
+    expected = n // 2  # the paper's rank of W
     rep = VerifyReport(n=n, timings=order.timings)
     passed: dict[str, bool] = {}
 
@@ -172,8 +166,8 @@ def _check_order(order: _Order, checks: Iterable[str]) -> ScanRow:
         r_bareiss = order.timed("rank_bareiss", rank_fraction_free, order.w)
         rep.snf_w = order.snf_w.invariant_factors
         rep.rank_exact = order.snf_w.rank
-        rep.rank_expected = n // 2
-        passed["rank"] = rep.rank_exact == r_bareiss == n // 2
+        rep.rank_expected = expected
+        passed["rank"] = rep.rank_exact == r_bareiss == expected
 
     if "hat" in checks:
         ap_eq_pb = order.timed("ap_pb", _ap_equals_pb, n, order.adj, order.b, order.partition)
@@ -194,8 +188,8 @@ def _check_order(order: _Order, checks: Iterable[str]) -> ScanRow:
         rep.main_count = spectrum.main_count
         if rep.rank_exact is None:
             rep.rank_exact = order.timed("rank_bareiss", rank_fraction_free, order.w)
-        rep.rank_expected = n // 2
-        passed["hagos"] = rep.main_count == rep.rank_exact == n // 2
+        rep.rank_expected = expected
+        passed["hagos"] = rep.main_count == rep.rank_exact == expected
 
     if "conjecture" in checks:
         rep.snf_w = order.snf_w.invariant_factors
@@ -238,9 +232,8 @@ def verify(n: int) -> VerifyReport:
             f"rank chain broken at n={n}: "
             f"W={rank_w}, W'={rank_wprime}, trimmed={rank_hat}, quotient={rank_wb}"
         )
-    failures = [name for name, ok in row.passed.items() if name != "conjecture" and not ok]
-    if failures:
-        raise VerificationError(f"checks failed at n={n}: {', '.join(failures)}")
+    if row.theorem_failures:
+        raise VerificationError(f"checks failed at n={n}: {', '.join(row.theorem_failures)}")
     return rep
 
 
@@ -306,7 +299,8 @@ def _decode(name: str, value: object) -> object:
     """One report field from its JSON value, checked against the field's type.
 
     Both parsers go through here, so neither coerces: a float where an int
-    belongs, or a string where a bool belongs, raises ValueError.
+    belongs, a string where a bool belongs, or a timing that is not a number
+    raises ValueError.
     """
     kind, optional = _FIELD_TYPES[name]
     if value is None:
@@ -315,24 +309,27 @@ def _decode(name: str, value: object) -> object:
     elif kind is tuple:
         if type(value) is list and all(type(x) is int for x in value):
             return tuple(value)
+    elif kind is dict:
+        if type(value) is dict and all(type(x) in (int, float) for x in value.values()):
+            return value
     elif type(value) is kind:
         return value
     raise ValueError(f"{name}: {value!r} is not a valid {kind.__name__}")
 
 
-def report_to_dict(rep: VerifyReport) -> dict:
-    return asdict(rep)
+def _report(record: object) -> VerifyReport:
+    """A report from a mapping of exactly the report's fields to JSON values."""
+    if type(record) is not dict or record.keys() != _FIELD_TYPES.keys():
+        raise ValueError(f"a report needs exactly the fields {', '.join(_REPORT_FIELDS)}, got {record!r}")
+    return VerifyReport(**{name: _decode(name, value) for name, value in record.items()})
 
 
 def reports_to_json(reports: Sequence[VerifyReport]) -> str:
-    return json.dumps([report_to_dict(r) for r in reports], indent=2) + "\n"
+    return json.dumps([asdict(r) for r in reports], indent=2) + "\n"
 
 
 def parse_scan_json(text: str) -> list[VerifyReport]:
-    return [
-        VerifyReport(**{name: _decode(name, obj[name]) for name in _REPORT_FIELDS})
-        for obj in json.loads(text)
-    ]
+    return [_report(obj) for obj in json.loads(text)]
 
 
 def _csv_cell(value: object) -> str:
@@ -364,12 +361,11 @@ def reports_to_csv(reports: Sequence[VerifyReport]) -> str:
 
 def parse_scan_csv(text: str) -> list[VerifyReport]:
     reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if tuple(header) != _REPORT_FIELDS:
+    if tuple(next(reader, ())) != _REPORT_FIELDS:
         raise ValueError("unexpected CSV header")
-    return [
-        VerifyReport(
-            **{name: _decode(name, _cell_json(name, cell)) for name, cell in zip(_REPORT_FIELDS, cells)}
-        )
-        for cells in reader
-    ]
+    reports = []
+    for cells in reader:
+        if len(cells) != len(_REPORT_FIELDS):
+            raise ValueError(f"a CSV row needs {len(_REPORT_FIELDS)} cells, got {len(cells)}: {cells!r}")
+        reports.append(_report({name: _cell_json(name, cell) for name, cell in zip(_REPORT_FIELDS, cells)}))
+    return reports

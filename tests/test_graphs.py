@@ -127,8 +127,7 @@ def test_row_sums_match_length_one_walk_counts(n):
 
 @pytest.mark.parametrize("n", range(5, 20))
 def test_dropping_last_leaf_recovers_plain_family(n):
-    trimmed = make_extended_dynkin(n).delete_vertex(n + 1)
-    assert trimmed == make_dynkin(n)
+    assert make_extended_dynkin(n).edges - {(n - 1, n + 1)} == make_dynkin(n).edges
 
 
 def test_edge_list_round_trip():

@@ -118,20 +118,9 @@ class TestWalkMatrix:
         w = walk_matrix(adjacency_matrix(make_path(3)))
         assert w.to_rows() == [[1, 1, 2], [1, 2, 2], [1, 1, 2]]
 
-    def test_width_slab(self):
-        a = adjacency_matrix(make_extended_dynkin(6))
-        slab = walk_matrix(a, width=5)
-        full = walk_matrix(a)
-        assert slab.rows == 7 and slab.cols == 5
-        assert all(slab.row(i) == full.row(i)[:5] for i in range(7))
-
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             walk_matrix(IntMatrix.zero(2, 3))
-
-    def test_rejects_bad_width(self):
-        with pytest.raises(ValueError):
-            walk_matrix(IntMatrix.identity(3), width=0)
 
     @pytest.mark.parametrize("n", range(4, 40))
     def test_leaf_twin_rows(self, n):

@@ -162,8 +162,9 @@ class TestDivisorMatrix:
         part = canonical_partition(n)
         p = characteristic_matrix(part, n + 1)
         b = divisor_matrix(g, part)
-        slab = walk_matrix(adjacency_matrix(g), width=n - 1)
-        assert slab == p @ walk_matrix(b, width=n - 1)
+        w = walk_matrix(adjacency_matrix(g))
+        slab = IntMatrix.from_rows([w.row(i)[: n - 1] for i in range(w.rows)])
+        assert slab == p @ walk_matrix(b)
 
     def test_not_equitable_reports_witness(self):
         g = make_path(3)

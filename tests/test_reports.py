@@ -1,7 +1,9 @@
 import itertools
+import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from types import SimpleNamespace
 
 import pytest
@@ -13,7 +15,6 @@ from walkrank.reports import (
     ALL_CHECKS,
     VerificationError,
     VerifyReport,
-    conjecture_check,
     conjectured_factors,
     parse_scan_csv,
     parse_scan_json,
@@ -78,25 +79,25 @@ class TestVerify:
 
 class TestConjectureCheck:
     def test_order8_holds(self):
-        verdict, observed = conjecture_check(8)
-        assert verdict == "holds"
-        assert observed == (1, 1, 1, 7)
+        rep = run_checks(8, ("conjecture",)).report
+        assert rep.conjecture_holds is True
+        assert rep.snf_w == (1, 1, 1, 7)
 
     def test_order9_observed_matches_direct_computation(self):
         w = walk_matrix(adjacency_matrix(make_extended_dynkin(9)))
-        _, observed = conjecture_check(9)
-        assert observed == smith_normal_form(w).invariant_factors
+        rep = run_checks(9, ("conjecture",)).report
+        assert rep.snf_w == smith_normal_form(w).invariant_factors
         assert conjectured_factors(9) == (1, 1, 1, 4)
 
     def test_order4_observed_matches_direct_computation(self):
         w = walk_matrix(adjacency_matrix(make_extended_dynkin(4)))
-        _, observed = conjecture_check(4)
-        assert observed == smith_normal_form(w).invariant_factors
+        rep = run_checks(4, ("conjecture",)).report
+        assert rep.snf_w == smith_normal_form(w).invariant_factors
         assert conjectured_factors(4) == (1, 3)
 
     def test_rejects_small_order(self):
         with pytest.raises(ValueError):
-            conjecture_check(3)
+            run_checks(3, ("conjecture",))
 
 
 class TestConjecturedFactors:
@@ -139,6 +140,19 @@ class TestRunChecks:
         row = run_checks(8, ("conjecture",))
         assert row.passed == {"conjecture": True}
         assert row.theorem_ok  # verdicts never gate
+
+    def test_failed_conjecture_never_gates(self, monkeypatch):
+        monkeypatch.setattr(reports, "conjectured_factors", lambda n: ())
+        row = run_checks(8, ("rank", "conjecture"))
+        assert row.passed == {"rank": True, "conjecture": False}
+        assert row.theorem_failures == [] and row.theorem_ok
+        assert verify(8).conjecture_holds is False
+
+    def test_theorem_failures_keep_check_order(self):
+        passed = {"rank": False, "hat": True, "conjecture": False, "eigpairs": False}
+        row = reports.ScanRow(VerifyReport(n=8), passed)
+        assert row.theorem_failures == ["rank", "eigpairs"]
+        assert not row.theorem_ok
 
     def test_stage_timings_never_overlap(self, monkeypatch):
         # The clock moves one second per read and a stage reads it twice, so
@@ -184,8 +198,8 @@ class TestScan:
         serial = scan(4, 10, checks=("rank", "snf-equiv"))
         parallel = scan(4, 10, checks=("rank", "snf-equiv"), jobs=2)
         for a, b in zip(serial, parallel):
-            da = reports.report_to_dict(a.report)
-            db = reports.report_to_dict(b.report)
+            da = asdict(a.report)
+            db = asdict(b.report)
             da.pop("timings")
             db.pop("timings")
             assert da == db
@@ -218,7 +232,7 @@ class TestScan:
 
     def test_import_leaves_the_process_pool_unloaded(self):
         code = (
-            "import sys, walkrank; "
+            "import sys, walkrank.cli; "
             "print(sorted(m for m in sys.modules "
             "if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
         )
@@ -266,3 +280,40 @@ class TestSerialization:
     def test_csv_rejects_foreign_header(self):
         with pytest.raises(ValueError):
             parse_scan_csv("a,b,c\n1,2,3\n")
+        with pytest.raises(ValueError):
+            parse_scan_csv("")
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"n": 4},
+            {**asdict(VerifyReport(n=4)), "extra": 1},
+            [4],
+            4,
+        ],
+        ids=["missing-fields", "unknown-field", "list", "int"],
+    )
+    def test_json_rejects_records_without_exactly_the_report_fields(self, record):
+        with pytest.raises(ValueError):
+            parse_scan_json(json.dumps([record]))
+
+    @pytest.mark.parametrize("cell_delta", [-9, -1, 1])
+    def test_csv_rejects_rows_of_the_wrong_length(self, cell_delta):
+        header, row = reports_to_csv([VerifyReport(n=4, rank_exact=2)]).splitlines()
+        cells = row.split(",")
+        cells = cells[:cell_delta] if cell_delta < 0 else cells + ["1"] * cell_delta
+        with pytest.raises(ValueError):
+            parse_scan_csv(header + "\n" + ",".join(cells) + "\n")
+
+    @pytest.mark.parametrize("value", ["notanumber", True, None, [1.0], {"ms": 1.0}])
+    def test_both_parsers_reject_a_timing_that_is_not_a_number(self, value):
+        rep = VerifyReport(n=4, timings={"graph": value})
+        with pytest.raises(ValueError):
+            parse_scan_json(reports_to_json([rep]))
+        with pytest.raises(ValueError):
+            parse_scan_csv(reports_to_csv([rep]))
+
+    def test_timings_take_ints_and_floats(self):
+        rows = [VerifyReport(n=4, timings={"graph": 3, "walk_matrix": 0.25})]
+        assert parse_scan_json(reports_to_json(rows)) == rows
+        assert parse_scan_csv(reports_to_csv(rows)) == rows
