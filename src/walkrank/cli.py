@@ -163,11 +163,15 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
             for (rep, mult), flag in zip(report.groups, report.main_flags)
         ],
         "main_count": report.main_count,
-        "max_residual": report.max_residual,
+        "inertia_route": report.inertia_route,
+        "inertia_ok": report.inertia_ok,
         "group_tol": args.group_tol,
         "proj_tol": args.proj_tol,
     }
     print(json.dumps(payload, indent=2))
+    if not report.inertia_ok:
+        print("error: eigenvalue groups disagree with the inertia count", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -189,7 +189,7 @@ def _check_order(order: _Order, checks: Iterable[str]) -> ScanRow:
         if rep.rank_exact is None:
             rep.rank_exact = order.timed("rank_bareiss", rank_fraction_free, order.w)
         rep.rank_expected = expected
-        passed["hagos"] = rep.main_count == rep.rank_exact == expected
+        passed["hagos"] = spectrum.inertia_ok and rep.main_count == rep.rank_exact == expected
 
     if "conjecture" in checks:
         rep.snf_w = order.snf_w.invariant_factors
@@ -329,7 +329,10 @@ def reports_to_json(reports: Sequence[VerifyReport]) -> str:
 
 
 def parse_scan_json(text: str) -> list[VerifyReport]:
-    return [_report(obj) for obj in json.loads(text)]
+    records = json.loads(text)
+    if type(records) is not list:
+        raise ValueError(f"scan JSON must be an array of records, got {type(records).__name__}")
+    return [_report(obj) for obj in records]
 
 
 def _csv_cell(value: object) -> str:

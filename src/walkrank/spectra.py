@@ -1,13 +1,15 @@
-"""Floating-point spectra: a self-contained symmetric eigensolver (Householder
-tridiagonalisation and implicit-shift QL), main-eigenvalue counting with a
-residual summed over each vertex's neighbours, closed-form eigenpairs of the
-transposed divisor matrix, and the spectral determinant formula for walk
-matrices."""
+"""Floating-point spectra: a self-contained symmetric eigensolver (band
+reduction to tridiagonal form, then implicit-shift QL, both rotating only the
+all-ones vector Q^T 1 and forming no eigenvectors), main-eigenvalue counting
+with an inertia check of its eigenvalue groups (Jacobs & Trevisan on a
+forest, a Sturm count otherwise), closed-form eigenpairs of the transposed
+divisor matrix, and the spectral determinant formula for walk matrices."""
 
 from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,13 +27,15 @@ class ConvergenceError(ArithmeticError):
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Eigenvalues grouped by closeness, with a main/non-main flag per group."""
+    """Eigenvalues grouped by closeness, with a main/non-main flag per group,
+    and whether an inertia count by the named route confirms the groups."""
 
     eigenvalues: tuple[float, ...]
     groups: tuple[tuple[float, int], ...]
     main_flags: tuple[bool, ...]
     main_count: int
-    max_residual: float
+    inertia_route: str
+    inertia_ok: bool
 
 
 @dataclass(frozen=True)
@@ -52,55 +56,70 @@ def _as_float_rows(m: IntMatrix | Sequence[Sequence[float]]) -> list[list[float]
     return rows
 
 
-def _householder_tridiagonal(
-    a: list[list[float]],
-) -> tuple[list[float], list[float], list[list[float]]]:
-    """Householder reduction of a symmetric matrix (EISPACK's tred2), in place.
+def _rotate(a: list[list[float]], z: list[float], p: int, col: int, b: int) -> None:
+    """Zero a[p+1][col] against a[p][col] with a Givens rotation G of rows p, p+1.
 
-    Returns the diagonal d, the off-diagonal e (e[i] couples i and i+1; e[-1]
-    is 0) and Q^T, whose rows are the basis the tridiagonal form is written in.
-    Row i is reduced by a reflector on indices 0..i-1; a zero row needs none.
+    A becomes G A G^T and z becomes G z. With bandwidth b and at most one bulge,
+    rows p and p+1 are zero outside columns p-b..p+b+1, so only that window of
+    the two rows and the matching columns is rotated.
+    """
+    q = p + 1
+    rp, rq = a[p], a[q]
+    x, y = rp[col], rq[col]
+    h = math.hypot(x, y)
+    c, s = x / h, y / h
+    app, apq, aqq = rp[p], rp[q], rq[q]
+    lo, hi = max(0, p - b), min(len(a), q + b + 1)
+    up, uq = rp[lo:hi], rq[lo:hi]
+    rp[lo:hi] = new_p = [c * u + s * v for u, v in zip(up, uq)]
+    rq[lo:hi] = new_q = [c * v - s * u for u, v in zip(up, uq)]
+    for t, u, v in zip(range(lo, hi), new_p, new_q):
+        row = a[t]
+        row[p] = u
+        row[q] = v
+    rp[col] = a[col][p] = h
+    rq[col] = a[col][q] = 0.0
+    cs, cc, ss = c * s, c * c, s * s
+    rp[p] = cc * app + 2.0 * cs * apq + ss * aqq
+    rq[q] = ss * app - 2.0 * cs * apq + cc * aqq
+    rp[q] = rq[p] = cs * (aqq - app) + (cc - ss) * apq
+    zp, zq = z[p], z[q]
+    z[p] = c * zp + s * zq
+    z[q] = c * zq - s * zp
+
+
+def _tridiagonal(a: list[list[float]]) -> tuple[list[float], list[float], list[float]]:
+    """Band reduction of a symmetric matrix to tridiagonal form, in place.
+
+    Givens rotations clear each column below the subdiagonal from the edge of
+    the band inwards, and chase the bulge each one makes down the band and off
+    the end (Schwarz, Numer. Math. 12, 1968). The bandwidth b is read from the
+    matrix, so a banded matrix costs O(k^2 b) and a full one O(k^3). With
+    T = Q^T A Q, returns the diagonal d of T, its off-diagonal e (e[i] couples
+    i and i+1; e[-1] is 0) and z = Q^T 1; Q itself is never formed.
     """
     k = len(a)
-    d = [0.0] * k
-    e = [0.0] * k
-    reflectors = []
-    for i in range(k - 1, 0, -1):
-        row = a[i][:i]
-        d[i] = a[i][i]
-        if not any(row):
-            continue
-        scale = sum(map(abs, row))
-        u = [x / scale for x in row]
-        h = sum(x * x for x in u)
-        f = u[-1]
-        g = -math.copysign(math.sqrt(h), f)
-        e[i - 1] = scale * g
-        h -= f * g
-        u[-1] = f - g
-        # A <- H A H with H = I - u u^T / h, on the leading i x i block
-        p = [sum(map(operator.mul, a[r], u)) / h for r in range(i)]
-        half = sum(map(operator.mul, u, p)) / (2.0 * h)
-        q = [x - half * y for x, y in zip(p, u)]
-        for r in range(i):
-            ur, qr = u[r], q[r]
-            a[r][:i] = [x - ur * qj - qr * uj for x, qj, uj in zip(a[r], q, u)]
-        reflectors.append((i, u, h))
-    d[0] = a[0][0]
-    # Q^T = H_2 H_3 ... H_{k-1}, built by right products on the rows it touches
-    qt = [[1.0 if i == j else 0.0 for j in range(k)] for i in range(k)]
-    for i, u, h in reversed(reflectors):
-        for r in range(i):
-            row = qt[r]
-            c = sum(map(operator.mul, row, u)) / h
-            row[:i] = [x - c * y for x, y in zip(row, u)]
-    return d, e, qt
+    b = max(i - next(j for j, x in enumerate(row) if x or j == i) for i, row in enumerate(a))
+    z = [1.0] * k
+    for j in range(k - 2):
+        for i in range(min(j + b, k - 1), j + 1, -1):
+            # clearing a[i][j] with rows i-1, i fills a[i+b][i-1]; clearing
+            # that with rows i+b-1, i+b fills a[i+2b][i+b-1], and so on
+            p, col = i - 1, j
+            while p + 1 < k and a[p + 1][col]:
+                _rotate(a, z, p, col, b)
+                p, col = p + b, p
+    d = [a[i][i] for i in range(k)]
+    e = [a[i + 1][i] for i in range(k - 1)] + [0.0]
+    return d, e, z
 
 
-def _implicit_ql(d: list[float], e: list[float], qt: list[list[float]]) -> None:
-    """Implicit-shift QL on a tridiagonal matrix (EISPACK's tql2), rotating qt's rows.
+def _implicit_ql(d: list[float], e: list[float], z: list[float]) -> None:
+    """Implicit-shift QL on a tridiagonal matrix (EISPACK's tql2), rotating z.
 
-    On return d holds the eigenvalues and row i of qt the eigenvector of d[i].
+    On return d holds the eigenvalues, and z has gone through every QL
+    rotation: if z was Q^T 1 for T = Q^T A Q, z[i] is now the dot product of
+    the all-ones vector with a unit eigenvector of A for d[i].
     """
     k = len(d)
     shift = 0.0
@@ -142,9 +161,9 @@ def _implicit_ql(d: list[float], e: list[float], qt: list[list[float]]) -> None:
                 c = p / r
                 p = c * d[i] - s * g
                 d[i + 1] = h + s * (c * g + s * d[i])
-                lo, hi = qt[i], qt[i + 1]
-                qt[i + 1] = [s * x + c * y for x, y in zip(lo, hi)]
-                qt[i] = [c * x - s * y for x, y in zip(lo, hi)]
+                lo, hi = z[i], z[i + 1]
+                z[i + 1] = s * lo + c * hi
+                z[i] = c * lo - s * hi
             p = -s * s2 * c3 * el1 * e[l] / dl1
             e[l] = s * p
             d[l] = c * p
@@ -154,15 +173,18 @@ def _implicit_ql(d: list[float], e: list[float], qt: list[list[float]]) -> None:
 
 def symmetric_eigen(
     m: IntMatrix | Sequence[Sequence[float]],
-) -> tuple[list[float], list[list[float]]]:
-    """Full eigendecomposition of a symmetric matrix.
+) -> tuple[list[float], list[float]]:
+    """Eigenvalues of a symmetric matrix and the all-ones vector's projections.
 
-    Householder tridiagonalisation followed by implicit-shift QL with the
-    eigenvectors accumulated (Wilkinson & Reinsch, Handbook for Automatic
-    Computation II, 1971; Parlett, The Symmetric Eigenvalue Problem). Returns
-    eigenvalues in ascending order and the matching orthonormal eigenvectors.
-    Raises ConvergenceError when one eigenvalue needs more than
-    _MAX_QL_ITERATIONS QL steps.
+    Band reduction to tridiagonal form, then implicit-shift QL (Wilkinson &
+    Reinsch, Handbook for Automatic Computation II, 1971); both rotate only
+    z = Q^T 1, the way Golub & Welsch (Math. Comp. 23, 1969) carry one row of
+    Q, and no eigenvector is formed. Returns the eigenvalues in ascending
+    order and z in the same order: z[i] is the dot product of the all-ones
+    vector with the i-th vector of an orthonormal eigenbasis. Inside a
+    repeated eigenvalue that basis is arbitrary, so only the norm of z over
+    the whole group is determined. Raises ConvergenceError when one eigenvalue
+    needs more than _MAX_QL_ITERATIONS QL steps.
     """
     a = _as_float_rows(m)
     k = len(a)
@@ -173,10 +195,86 @@ def symmetric_eigen(
         for j in range(i + 1, k):
             if abs(a[i][j] - a[j][i]) > _SYMMETRY_RTOL * scale:
                 raise ValueError(f"matrix is not symmetric at ({i}, {j})")
-    d, e, qt = _householder_tridiagonal(a)
-    _implicit_ql(d, e, qt)
+    d, e, z = _tridiagonal(a)
+    _implicit_ql(d, e, z)
     order = sorted(range(k), key=d.__getitem__)
-    return [d[i] for i in order], [qt[i] for i in order]
+    return [d[i] for i in order], [z[i] for i in order]
+
+
+def _forest(g: Graph) -> tuple[list[int], list[int]] | None:
+    """The parent of each vertex (0-based, -1 at a root) and an order that
+    lists every vertex after its parent, or None when g has a cycle."""
+    nbrs = [[u - 1 for u in adj] for adj in g.neighbor_sets().values()]
+    parent = [-1] * g.order
+    seen = [False] * g.order
+    order: list[int] = []
+    roots = 0
+    for root in range(g.order):
+        if seen[root]:
+            continue
+        roots += 1
+        seen[root] = True
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            for u in nbrs[v]:
+                if not seen[u]:
+                    seen[u] = True
+                    parent[u] = v
+                    stack.append(u)
+    if g.edge_count != g.order - roots:
+        return None
+    return parent, order
+
+
+def _forest_count_below(parent: list[int], order: list[int], x: float) -> int:
+    """Number of adjacency eigenvalues of a forest below x.
+
+    Jacobs & Trevisan's diagonalisation (LAA 434, 2011) works leaves first on
+    the forest itself and gives a diagonal matrix congruent to A - xI, so by
+    Sylvester's law of inertia its negative entries count the eigenvalues
+    below x. O(order) per call.
+    """
+    a = [-x] * len(parent)
+    pulled = [0.0] * len(parent)  # sum of 1/a(c) over the children c
+    zero_child = [-1] * len(parent)
+    for v in reversed(order):
+        c = zero_child[v]
+        if c >= 0:
+            # a child with a(c) = 0: the pair (c, v) becomes (2, -1/2) and the
+            # edge from v to its parent is dropped
+            a[c], a[v] = 2.0, -0.5
+            continue
+        a[v] -= pulled[v]
+        p = parent[v]
+        if p >= 0:
+            if a[v]:
+                pulled[p] += 1.0 / a[v]
+            else:
+                zero_child[p] = v
+    return sum(1 for y in a if y < 0)
+
+
+def _sturm_count_below(d: list[float], e: list[float], x: float) -> int:
+    """Number of eigenvalues below x of the tridiagonal matrix (d, e).
+
+    The negative pivots of T - xI = L D L^T, the Sturm count (Parlett, The
+    Symmetric Eigenvalue Problem). A pivot smaller than LAPACK's pivmin
+    counts as zero and is replaced by +pivmin, so no division overflows and,
+    as on the tree route, an eigenvalue at x itself is not counted.
+    """
+    pivmin = sys.float_info.min * max(1.0, max(v * v for v in e))
+    count = 0
+    q = 1.0
+    e2 = 0.0
+    for di, ei in zip(d, e):
+        q = di - x - e2 / q
+        if abs(q) < pivmin:
+            q = pivmin
+        count += q < 0
+        e2 = ei * ei
+    return count
 
 
 def count_main_eigenvalues(
@@ -187,22 +285,20 @@ def count_main_eigenvalues(
 
     Eigenvalues within group_tol of their neighbor share a group; a group is
     main when the all-ones projection onto its eigenspace has norm above
-    proj_tol * sqrt(order).
+    proj_tol * sqrt(order). The groups are then checked by inertia: at the
+    midpoint of each gap between adjacent groups, the number of eigenvalues
+    of A below it must be the number of eigenvalues in the groups below. The
+    count runs on the graph itself when it is a forest (route "tree") and on
+    the tridiagonal form of A otherwise (route "sturm").
     """
     if group_tol <= 0 or proj_tol <= 0:
         raise ValueError("tolerances must be positive")
     k = g.order
-    values, vectors = symmetric_eigen(adjacency_matrix(g))
-    # (A v)_i is the sum of v over the neighbours of i, so the worst residual
-    # costs O(order * edges) rather than a dense product per eigenpair
-    nbrs = [sorted(u - 1 for u in adj) for adj in g.neighbor_sets().values()]
-    max_residual = max(
-        abs(sum(vec[j] for j in adj) - lam * x)
-        for lam, vec in zip(values, vectors)
-        for adj, x in zip(nbrs, vec)
-    )
+    adj = adjacency_matrix(g)
+    values, z = symmetric_eigen(adj)
     groups: list[tuple[float, int]] = []
     flags: list[bool] = []
+    cuts: list[tuple[float, int]] = []  # (gap midpoint, eigenvalues below it)
     start = 0
     while start < k:
         stop = start + 1
@@ -210,16 +306,25 @@ def count_main_eigenvalues(
             stop += 1
         members = range(start, stop)
         rep = sum(values[i] for i in members) / len(members)
-        proj_sq = sum(sum(vectors[i]) ** 2 for i in members)
+        proj_sq = sum(z[i] * z[i] for i in members)
         groups.append((rep, len(members)))
         flags.append(math.sqrt(proj_sq) > proj_tol * math.sqrt(k))
+        if stop < k:
+            cuts.append((0.5 * (values[stop - 1] + values[stop]), stop))
         start = stop
+    forest = _forest(g)
+    if forest is not None:
+        route, below = "tree", lambda x: _forest_count_below(*forest, x)
+    else:
+        d, e, _ = _tridiagonal(_as_float_rows(adj))
+        route, below = "sturm", lambda x: _sturm_count_below(d, e, x)
     return SpectrumReport(
         eigenvalues=tuple(values),
         groups=tuple(groups),
         main_flags=tuple(flags),
         main_count=sum(flags),
-        max_residual=max_residual,
+        inertia_route=route,
+        inertia_ok=all(below(x) == count for x, count in cuts),
     )
 
 

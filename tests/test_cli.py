@@ -129,12 +129,22 @@ class TestSpectrum:
         assert len(payload["eigenvalues"]) == 9
         assert payload["group_tol"] == 1e-8
         assert payload["proj_tol"] == 1e-8
+        assert payload["inertia_route"] == "tree"
+        assert payload["inertia_ok"] is True
         assert all({"value", "multiplicity", "main"} <= set(g) for g in payload["groups"])
 
     def test_tight_tolerance_warns(self, capsys):
         code, _, err = run_cli(capsys, "spectrum", "ext-dynkin:8", "--group-tol", "0.05")
         assert code == 0
         assert "warning" in err
+
+    def test_failed_inertia_check_exits_1(self, capsys, misplaced_eigenvalue):
+        code, out, err = run_cli(capsys, "spectrum", "ext-dynkin:8")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["inertia_ok"] is False
+        assert payload["inertia_route"] == "tree"
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_no_convergence_exits_1(self, capsys, monkeypatch):
         monkeypatch.setattr(spectra, "_MAX_QL_ITERATIONS", 0)

@@ -130,6 +130,11 @@ class TestRunChecks:
         with pytest.raises(AssertionError):
             run_checks(8, ("hagos",))
 
+    def test_hagos_fails_when_the_inertia_check_fails(self, misplaced_eigenvalue):
+        row = run_checks(8, ("hagos",))
+        assert row.report.main_count == 4  # the count alone would still pass
+        assert row.passed == {"hagos": False}
+
     def test_hagos_fills_rank_column(self):
         rep = run_checks(10, ("hagos",)).report
         assert rep.main_count == 5
@@ -296,6 +301,11 @@ class TestSerialization:
     def test_json_rejects_records_without_exactly_the_report_fields(self, record):
         with pytest.raises(ValueError):
             parse_scan_json(json.dumps([record]))
+
+    @pytest.mark.parametrize("text", ["4", "null", "true", "{}"])
+    def test_json_rejects_a_top_level_that_is_not_an_array(self, text):
+        with pytest.raises(ValueError, match="array"):
+            parse_scan_json(text)
 
     @pytest.mark.parametrize("cell_delta", [-9, -1, 1])
     def test_csv_rejects_rows_of_the_wrong_length(self, cell_delta):

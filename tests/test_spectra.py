@@ -4,7 +4,7 @@ import random
 import pytest
 
 import walkrank.spectra as spectra
-from walkrank.graphs import from_edge_list, make_extended_dynkin
+from walkrank.graphs import adjacency_matrix, from_edge_list, make_extended_dynkin, make_path
 from walkrank.intmatrix import IntMatrix, det_exact, walk_matrix
 from walkrank.quotient import canonical_partition, divisor_matrix
 from walkrank.spectra import (
@@ -21,6 +21,28 @@ from walkrank.spectra import (
 
 def _complete_graph(k):
     return from_edge_list(k, [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)])
+
+
+def _eigenvector(m, lam):
+    """Unit eigenvector for a simple eigenvalue lam of m, by three steps of inverse
+    iteration at a shift just off lam, each a Gaussian elimination with partial pivoting."""
+    k = len(m)
+    mu = lam + 1e-12 * max(1.0, abs(lam))
+    v = [1.0 + i / k for i in range(k)]
+    for _ in range(3):
+        a = [[m[i][j] - (mu if i == j else 0.0) for j in range(k)] + [v[i]] for i in range(k)]
+        for c in range(k):
+            piv = max(range(c, k), key=lambda i: abs(a[i][c]))
+            a[c], a[piv] = a[piv], a[c]
+            for i in range(c + 1, k):
+                f = a[i][c] / a[c][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+        x = [0.0] * k
+        for i in reversed(range(k)):
+            x[i] = (a[i][k] - sum(a[i][j] * x[j] for j in range(i + 1, k))) / a[i][i]
+        norm = math.sqrt(sum(t * t for t in x))
+        v = [t / norm for t in x]
+    return v
 
 
 class TestSymmetricEigen:
@@ -46,33 +68,36 @@ class TestSymmetricEigen:
         assert values[-1] == pytest.approx(2.0, abs=1e-9)
 
     def test_residuals_small(self):
+        # 1^T A^m 1 = sum_i lambda_i^m z_i^2 for every power m
         rng = random.Random(11)
         k = 8
         m = [[0.0] * k for _ in range(k)]
         for i in range(k):
             for j in range(i, k):
                 m[i][j] = m[j][i] = rng.uniform(-3, 3)
-        values, vectors = symmetric_eigen(m)
-        for lam, vec in zip(values, vectors):
-            for i in range(k):
-                out = sum(m[i][j] * vec[j] for j in range(k))
-                assert abs(out - lam * vec[i]) < 1e-9
+        values, z = symmetric_eigen(m)
+        v = [1.0] * k
+        for power in range(k):
+            got = sum(lam**power * x * x for lam, x in zip(values, z))
+            assert abs(got - sum(v)) < 1e-9 * max(1.0, sum(map(abs, v)))
+            v = [sum(m[i][j] * v[j] for j in range(k)) for i in range(k)]
 
     def test_vectors_orthonormal(self):
-        values, vectors = symmetric_eigen([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
-        for i, u in enumerate(vectors):
-            for j, w in enumerate(vectors):
-                dot = sum(a * b for a, b in zip(u, w))
-                assert dot == pytest.approx(1.0 if i == j else 0.0, abs=1e-10)
+        # unit eigenvectors (1, -r, 1)/2, (1, 0, -1)/r and (1, r, 1)/2 with r = sqrt(2)
+        values, z = symmetric_eigen([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
+        r = math.sqrt(2.0)
+        assert values == pytest.approx([2.0 - r, 2.0, 2.0 + r], abs=1e-12)
+        assert [abs(x) for x in z] == pytest.approx([1.0 - r / 2, 0.0, 1.0 + r / 2], abs=1e-12)
+        assert sum(x * x for x in z) == pytest.approx(3.0, abs=1e-12)
 
     def test_iteration_cap(self, monkeypatch):
         monkeypatch.setattr(spectra, "_MAX_QL_ITERATIONS", 0)
         with pytest.raises(ArithmeticError, match="eigenvalue 0 .* within 0 iterations"):
             symmetric_eigen([[2.0, 1.0], [1.0, 2.0]])
         # a diagonal matrix is already converged and needs no QL step
-        values, vectors = symmetric_eigen([[3.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 3.0]])
+        values, z = symmetric_eigen([[3.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 3.0]])
         assert values == [1.0, 3.0, 3.0]
-        assert vectors[0] == [0.0, 1.0, 0.0]
+        assert z == [1.0, 1.0, 1.0]
 
     @pytest.mark.parametrize("cap", range(6))
     def test_capped_solver_raises_or_converges(self, monkeypatch, cap):
@@ -120,23 +145,22 @@ class TestCountMainEigenvalues:
         assert sum(mult for _, mult in report.groups) == g.order
         assert len(report.main_flags) == len(report.groups)
         assert report.main_count == sum(report.main_flags)
-        assert report.max_residual < 1e-9
+        assert report.inertia_route == "tree"
+        assert report.inertia_ok
 
     @pytest.mark.parametrize(
         "g", [make_extended_dynkin(n) for n in range(4, 31)] + [_complete_graph(5)]
     )
     def test_residual_is_the_dense_formula(self, g):
-        # the dense loop the residual used to run, kept as the reference
-        adj = [[0.0] * g.order for _ in range(g.order)]
-        for u, v in g.edges:
-            adj[u - 1][v - 1] = adj[v - 1][u - 1] = 1.0
-        values, vectors = symmetric_eigen(adj)
-        want = max(
-            abs(sum(adj[i][j] * vec[j] for j in range(g.order)) - lam * vec[i])
-            for lam, vec in zip(values, vectors)
-            for i in range(g.order)
-        )
-        assert count_main_eigenvalues(g).max_residual == want
+        # column m of the exact walk matrix sums to 1^T A^m 1 = sum_i lambda_i^m z_i^2
+        adj = adjacency_matrix(g)
+        values, z = symmetric_eigen(adj)
+        w = walk_matrix(adj)
+        for power in range(min(g.order, 8)):
+            walks = sum(w.column(power))
+            got = sum(lam**power * x * x for lam, x in zip(values, z))
+            assert abs(got - walks) <= 1e-12 * g.order * max(1, walks)
+        assert count_main_eigenvalues(g).eigenvalues == tuple(values)
 
     def test_rejects_bad_tolerances(self):
         g = make_extended_dynkin(4)
@@ -144,6 +168,93 @@ class TestCountMainEigenvalues:
             count_main_eigenvalues(g, group_tol=0.0)
         with pytest.raises(ValueError):
             count_main_eigenvalues(g, proj_tol=-1.0)
+
+
+def _relabelled(g, rng):
+    perm = list(range(1, g.order + 1))
+    rng.shuffle(perm)
+    return from_edge_list(g.order, [(perm[u - 1], perm[v - 1]) for u, v in g.edges])
+
+
+def _bandwidth(g):
+    return max(abs(u - v) for u, v in g.edges)
+
+
+def _star(leaves):
+    return from_edge_list(leaves + 1, [(1, v) for v in range(2, leaves + 2)])
+
+
+class TestInertia:
+    @pytest.mark.parametrize(
+        "g,x,below",
+        [
+            # the zero rule of the diagonalisation: a(leaf) = -x = 0 at x = 0
+            (_star(3), 0.0, 1),  # -sqrt(3), 0, 0, sqrt(3)
+            (make_path(3), 0.0, 1),  # -sqrt(2), 0, sqrt(2)
+            (make_path(4), 0.0, 2),  # +-1.618, +-0.618
+            (make_path(2), 1.0, 1),  # -1, 1
+            (make_path(2), -1.0, 0),
+            (make_path(1), 0.0, 0),
+            (make_path(1), 0.5, 1),
+            # a(3) = 0 below vertex 2, so the edge from 2 to the root 1 is cut
+            (from_edge_list(6, [(1, 2), (1, 4), (1, 5), (2, 3), (3, 6)]), -1.0, 2),
+            (make_extended_dynkin(8), 2.5, 9),
+            (make_extended_dynkin(8), -2.5, 0),
+            # the spectrum of D~_8 is 2 cos(j pi / 6) for j = 0..6 plus 0 twice
+            (make_extended_dynkin(8), 0.0, 3),
+            (make_extended_dynkin(8), 1.0, 6),
+        ],
+    )
+    def test_tree_counts_at_exact_eigenvalues_and_between(self, g, x, below):
+        assert spectra._forest_count_below(*spectra._forest(g), x) == below
+
+    def test_forest_detection(self):
+        assert spectra._forest(_complete_graph(3)) is None
+        two_paths = from_edge_list(5, [(1, 2), (3, 4), (4, 5)])  # P2 and P3: -1, 1, +-sqrt(2), 0
+        assert spectra._forest_count_below(*spectra._forest(two_paths), 0.5) == 3
+        assert count_main_eigenvalues(two_paths).inertia_route == "tree"
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_sturm_route_on_complete_graphs(self, k):
+        # K_k has -1 with multiplicity k - 1 and k - 1 once
+        report = count_main_eigenvalues(_complete_graph(k))
+        assert report.inertia_route == ("tree" if k <= 2 else "sturm")
+        assert report.inertia_ok
+        d, e, _ = spectra._tridiagonal([[0.0 if i == j else 1.0 for j in range(k)] for i in range(k)])
+        assert spectra._sturm_count_below(d, e, -1.5) == 0
+        assert spectra._sturm_count_below(d, e, (k - 2) / 2) == k - 1
+        assert spectra._sturm_count_below(d, e, k) == k
+
+    @pytest.mark.parametrize("x,below", [(0.0, 1), (0.5, 1), (1.0, 1), (-1.0, 0), (1.5, 2)])
+    def test_sturm_count_at_zero_pivots(self, x, below):
+        # T = [[0, 1], [1, 0]] has eigenvalues -1 and 1; at x = 0 the first
+        # pivot of T - xI is zero and at x = +-1 the last one is
+        assert spectra._sturm_count_below([0.0, 0.0], [1.0, 0.0], x) == below
+
+    @pytest.mark.parametrize("g", [make_extended_dynkin(8), _complete_graph(5)], ids=["tree", "sturm"])
+    def test_a_moved_eigenvalue_fails_the_check(self, misplaced_eigenvalue, g):
+        assert not count_main_eigenvalues(g).inertia_ok
+
+
+class TestMetamorphic:
+    @pytest.mark.parametrize("n", [4, 5, 8, 13, 20, 31, 40])
+    def test_relabelled_extended_dynkin(self, n):
+        g = make_extended_dynkin(n)
+        h = _relabelled(g, random.Random(n))
+        assert _bandwidth(g) == 2 and _bandwidth(h) >= g.order // 2
+        want, got = count_main_eigenvalues(g), count_main_eigenvalues(h)
+        assert got.eigenvalues == pytest.approx(want.eigenvalues, abs=1e-12)
+        assert got.main_count == want.main_count == n // 2
+        assert got.inertia_route == "tree" and got.inertia_ok
+
+    @pytest.mark.parametrize("n", [4, 9, 16, 30, 60])
+    def test_projections_keep_the_norm_of_the_ones_vector(self, n):
+        # z = Q^T 1 with Q orthogonal, so the sum of z_i^2 is |1|^2 = order
+        rng = random.Random(100 + n)
+        g = make_extended_dynkin(n)
+        for h in (g, _relabelled(g, rng), _complete_graph(n)):
+            _, z = symmetric_eigen(adjacency_matrix(h))
+            assert abs(sum(x * x for x in z) - h.order) <= 1e-12 * h.order
 
 
 class TestDivisorEigenpairs:
@@ -285,13 +396,14 @@ class TestDetWalkSpectral:
             for i in range(k):
                 for j in range(i, k):
                     entries[i][j] = entries[j][i] = rng.randint(-4, 4)
-            values, vectors = symmetric_eigen(entries)
+            values, _ = symmetric_eigen(entries)
             gaps = [b - a for a, b in zip(values, values[1:])]
             if gaps and min(gaps) < 1e-6:
                 continue
             m = IntMatrix.from_rows(entries)
             exact = det_exact(walk_matrix(m))
-            approx = det_walk_spectral(entries, list(zip(values, vectors)))
+            pairs = [(lam, _eigenvector(entries, lam)) for lam in values]
+            approx = det_walk_spectral(entries, pairs)
             assert abs(approx - exact) <= 1e-6 * max(1.0, abs(exact))
             checked += 1
 

@@ -6,7 +6,14 @@ import pytest
 
 from walkrank.graphs import adjacency_matrix, from_edge_list, make_extended_dynkin
 from walkrank.intmatrix import rank_fraction_free, walk_matrix
-from walkrank.spectra import count_main_eigenvalues, symmetric_eigen
+from walkrank.spectra import (
+    _forest,
+    _forest_count_below,
+    _sturm_count_below,
+    _tridiagonal,
+    count_main_eigenvalues,
+    symmetric_eigen,
+)
 
 np = pytest.importorskip("numpy")
 
@@ -34,6 +41,10 @@ def _complete(k):
     return [[0.0 if i == j else 1.0 for j in range(k)] for i in range(k)]
 
 
+def _complete_graph(k):
+    return from_edge_list(k, [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)])
+
+
 DIAG = (2, -1, 2, 0, -1, 2)
 REPEATED = (
     [("zero", [[0.0] * 5 for _ in range(5)])]
@@ -43,13 +54,28 @@ REPEATED = (
 )
 
 
+def _group_norms(values, z, tol):
+    """Norm of z over each run of eigenvalues whose neighbours lie within tol."""
+    norms, start = [], 0
+    for stop in range(1, len(values) + 1):
+        if stop == len(values) or values[stop] - values[stop - 1] > tol:
+            norms.append(np.sqrt(np.sum(np.square(z[start:stop]))))
+            start = stop
+    return norms
+
+
 def _check_against_eigvalsh(m):
     a = np.array(m)
-    values, vectors = symmetric_eigen(m)
+    values, z = symmetric_eigen(m)
     tol = 1e-10 * max(1.0, np.linalg.norm(a, 2))
     assert np.max(np.abs(np.array(values) - np.linalg.eigvalsh(a))) <= tol
-    basis = np.array(vectors)
-    assert np.max(np.abs(basis @ basis.T - np.eye(len(m)))) <= 1e-10
+    # single z_i depend on the basis chosen inside a repeated eigenvalue; the
+    # norm over a group is the length of 1's projection onto its eigenspace
+    want_values, vectors = np.linalg.eigh(a)
+    group_tol = 1e-8 * max(1.0, np.linalg.norm(a, 2))
+    got = _group_norms(want_values, np.array(z), group_tol)
+    want = _group_norms(want_values, vectors.sum(axis=0), group_tol)
+    assert np.max(np.abs(np.array(got) - np.array(want))) <= 1e-10
 
 
 @pytest.mark.parametrize("k", range(1, 31))
@@ -92,3 +118,48 @@ def test_main_count_matches_numpy_on_random_trees():
         assert count == _numpy_main_count(g)
         # Hagos: the number of main eigenvalues is the rank of the walk matrix
         assert count == rank_fraction_free(walk_matrix(adjacency_matrix(g)))
+
+
+def _shifts(rng, values, count=8):
+    """Seeded shifts over the spectrum and past both ends, none within 1e-6 of an eigenvalue."""
+    lo, hi = values[0] - 1.0, values[-1] + 1.0
+    out = []
+    while len(out) < count:
+        x = rng.uniform(lo, hi)
+        if np.min(np.abs(values - x)) > 1e-6:
+            out.append(x)
+    return out
+
+
+def test_tree_inertia_matches_eigvalsh_on_random_trees():
+    rng = random.Random(7)
+    for _ in range(50):
+        g = _random_tree(rng, rng.randint(1, 40))
+        values = np.linalg.eigvalsh(np.array(_adjacency_rows(g)))
+        forest = _forest(g)
+        assert forest is not None
+        for x in _shifts(rng, values):
+            assert _forest_count_below(*forest, x) == np.sum(values < x)
+        report = count_main_eigenvalues(g)
+        assert report.inertia_route == "tree" and report.inertia_ok
+
+
+def _cycle(k):
+    return from_edge_list(k, [(i, i % k + 1) for i in range(1, k + 1)])
+
+
+STURM_GRAPHS = [(f"K{k}", _complete_graph(k)) for k in range(3, 17)] + [
+    (f"C{k}", _cycle(k)) for k in range(3, 25)
+]
+
+
+@pytest.mark.parametrize("name,g", STURM_GRAPHS, ids=[name for name, _ in STURM_GRAPHS])
+def test_sturm_inertia_matches_eigvalsh(name, g):
+    rng = random.Random(g.order)
+    rows = _adjacency_rows(g)
+    values = np.linalg.eigvalsh(np.array(rows))
+    d, e, _ = _tridiagonal(rows)
+    for x in _shifts(rng, values):
+        assert _sturm_count_below(d, e, x) == np.sum(values < x)
+    report = count_main_eigenvalues(g)
+    assert report.inertia_route == "sturm" and report.inertia_ok
