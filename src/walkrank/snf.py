@@ -119,12 +119,15 @@ def _divisibility_fixup(diag: list[int]) -> list[int]:
 def smith_normal_form(m: IntMatrix) -> SnfResult:
     """Invariant factors of any rectangular integer matrix.
 
-    Diagonalizes with elementary (unimodular) row and column operations,
-    always pivoting on the smallest-magnitude nonzero entry of the remaining
-    block, then repairs the divisibility chain on the diagonal.
+    Works on the distinct nonzero rows of m only: subtracting a row from its
+    copy is a unimodular operation that leaves a zero row, and zero rows add
+    no invariant factor, so the factors are those of m, and dims stays the
+    shape of m. Diagonalizes with elementary (unimodular) row and column
+    operations, always pivoting on the smallest-magnitude nonzero entry of
+    the remaining block, then repairs the divisibility chain on the diagonal.
     """
-    a = m.to_rows()
-    nrows, ncols = m.rows, m.cols
+    a = [list(r) for r in dict.fromkeys(map(m.row, range(m.rows))) if any(r)]
+    nrows, ncols = len(a), m.cols
     diag: list[int] = []
     for t in range(min(nrows, ncols)):
         pos = _min_abs_nonzero(a, t, nrows, ncols)
@@ -139,7 +142,7 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
         _clear_corner(a, t, nrows, ncols)
         diag.append(abs(a[t][t]))
     factors = _divisibility_fixup(diag)
-    return SnfResult(tuple(factors), len(factors), (nrows, ncols))
+    return SnfResult(tuple(factors), len(factors), (m.rows, m.cols))
 
 
 def rank_via_snf(m: IntMatrix) -> int:

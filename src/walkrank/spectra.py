@@ -291,8 +291,12 @@ def count_main_eigenvalues(
     count runs on the graph itself when it is a forest (route "tree") and on
     the tridiagonal form of A otherwise (route "sturm").
     """
-    if group_tol <= 0 or proj_tol <= 0:
-        raise ValueError("tolerances must be positive")
+    # written so that NaN fails it too; an infinite group_tol would merge
+    # every eigenvalue into one group and leave no gap to check
+    if not (0 < group_tol < math.inf and 0 < proj_tol < math.inf):
+        raise ValueError(
+            f"tolerances must be finite and positive, got {group_tol} and {proj_tol}"
+        )
     k = g.order
     adj = adjacency_matrix(g)
     values, z = symmetric_eigen(adj)

@@ -138,6 +138,15 @@ class TestSpectrum:
         assert code == 0
         assert "warning" in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("flag", ["--group-tol", "--proj-tol"])
+    def test_non_finite_tolerance_exits_2(self, capsys, flag, value):
+        # "--flag=-inf", since argparse reads a bare "-inf" as an option
+        code, out, err = run_cli(capsys, "spectrum", "ext-dynkin:8", f"{flag}={value}")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_failed_inertia_check_exits_1(self, capsys, misplaced_eigenvalue):
         code, out, err = run_cli(capsys, "spectrum", "ext-dynkin:8")
         assert code == 1

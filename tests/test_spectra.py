@@ -169,6 +169,12 @@ class TestCountMainEigenvalues:
         with pytest.raises(ValueError):
             count_main_eigenvalues(g, proj_tol=-1.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["group_tol", "proj_tol"])
+    def test_rejects_non_finite_tolerances(self, name, value):
+        with pytest.raises(ValueError, match="finite and positive"):
+            count_main_eigenvalues(make_extended_dynkin(8), **{name: value})
+
 
 def _relabelled(g, rng):
     perm = list(range(1, g.order + 1))
