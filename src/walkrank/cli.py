@@ -42,7 +42,7 @@ from .reports import (
     verify,
 )
 from .snf import rank_via_snf, smith_normal_form
-from .spectra import ConvergenceError, count_main_eigenvalues
+from .spectra import _GROUP_TOL, _PROJ_TOL, ConvergenceError, count_main_eigenvalues
 
 FAMILIES = {
     "path": make_path,
@@ -145,16 +145,7 @@ def cmd_quotient(args: argparse.Namespace) -> int:
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     g = _load_graph(args.source)
-    report = count_main_eigenvalues(g, args.group_tol, args.proj_tol)
-    reps = [rep for rep, _ in report.groups]
-    if len(reps) > 1:
-        min_gap = min(b - a for a, b in zip(reps, reps[1:]))
-        if min_gap < 10 * args.group_tol:
-            print(
-                f"warning: smallest eigenvalue gap {min_gap:.3e} is within 10x of "
-                f"group tolerance {args.group_tol:.3e}; grouping may be unreliable",
-                file=sys.stderr,
-            )
+    report = count_main_eigenvalues(g)
     payload = {
         "order": g.order,
         "eigenvalues": list(report.eigenvalues),
@@ -165,8 +156,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         "main_count": report.main_count,
         "inertia_route": report.inertia_route,
         "inertia_ok": report.inertia_ok,
-        "group_tol": args.group_tol,
-        "proj_tol": args.proj_tol,
+        "group_tol": _GROUP_TOL,
+        "proj_tol": _PROJ_TOL,
     }
     print(json.dumps(payload, indent=2))
     if not report.inertia_ok:
@@ -257,8 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="eigenvalue groups and main flags as JSON")
     p.add_argument("source", help="family spec or edge-list file")
-    p.add_argument("--group-tol", type=float, default=1e-8)
-    p.add_argument("--proj-tol", type=float, default=1e-8)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("verify", help="full verification report at order n")

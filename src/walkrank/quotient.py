@@ -1,5 +1,5 @@
-"""Equitable partitions, their characteristic and divisor matrices, and the
-trimmed walk matrix they predict."""
+"""Equitable partitions, their characteristic and divisor matrices, the
+trimmed walk matrix they predict, and its zero-padded embedding W'."""
 
 from __future__ import annotations
 
@@ -143,3 +143,15 @@ def hat_walk_matrix(w: IntMatrix) -> IntMatrix:
     if size < 5:
         raise ValueError(f"need at least a 5x5 walk matrix, got {size}x{size}")
     return IntMatrix.from_rows([w.row(i)[: size - 2] for i in range(1, size - 1)])
+
+
+def build_w_prime(hat: IntMatrix) -> IntMatrix:
+    """Zero-padded embedding W' of a trimmed walk matrix.
+
+    Takes hat_walk_matrix(w), (n-1) x (n-1) for an (n+1)-square w, and pads
+    it back to the size of w: the first row, the last row and the last two
+    columns are zero.
+    """
+    size = hat.rows + 2
+    padded = [row + [0, 0] for row in hat.to_rows()]
+    return IntMatrix.from_rows([[0] * size, *padded, [0] * size])

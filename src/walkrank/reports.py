@@ -17,12 +17,13 @@ from .graphs import Graph, adjacency_matrix, make_extended_dynkin
 from .intmatrix import IntMatrix, rank_fraction_free, walk_matrix
 from .quotient import (
     EquitablePartition,
+    build_w_prime,
     canonical_partition,
     characteristic_matrix,
     divisor_matrix,
     hat_walk_matrix,
 )
-from .snf import SnfResult, build_w_prime, smith_normal_form
+from .snf import SnfResult, smith_normal_form
 from .spectra import (
     count_main_eigenvalues,
     divisor_eigenpairs,
@@ -136,6 +137,11 @@ class _Order:
         return self.timed("hat", hat_walk_matrix, self.w)
 
     @cached_property
+    def w_prime(self) -> IntMatrix:
+        """The trimmed walk matrix padded back to the size of W."""
+        return self.timed("snf_wprime", build_w_prime, self.hat)
+
+    @cached_property
     def wb(self) -> IntMatrix:
         """The walk matrix of the divisor matrix B."""
         return self.timed("hat", walk_matrix, self.b)
@@ -176,10 +182,7 @@ def _check_order(order: _Order, checks: Iterable[str]) -> ScanRow:
 
     if "snf-equiv" in checks:
         rep.snf_w = order.snf_w.invariant_factors
-        w = order.w
-        rep.snf_wprime = order.timed(
-            "snf_wprime", lambda: smith_normal_form(build_w_prime(w))
-        ).invariant_factors
+        rep.snf_wprime = order.timed("snf_wprime", smith_normal_form, order.w_prime).invariant_factors
         rep.integrally_equiv = rep.snf_w == rep.snf_wprime
         passed["snf-equiv"] = rep.integrally_equiv
 

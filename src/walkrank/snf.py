@@ -1,4 +1,7 @@
-"""Smith normal form over the integers and integral-equivalence utilities."""
+"""Smith normal form over the integers and integral-equivalence utilities.
+
+Depends only on `intmatrix`; the zero-padded W' it is applied to is built in
+`quotient`, next to the trimmed walk matrix it pads."""
 
 from __future__ import annotations
 
@@ -6,7 +9,6 @@ from dataclasses import dataclass
 from math import gcd
 
 from .intmatrix import IntMatrix
-from .quotient import hat_walk_matrix
 
 
 @dataclass(frozen=True)
@@ -162,13 +164,3 @@ def integrally_equivalent(a: IntMatrix, b: IntMatrix) -> bool:
     return (
         smith_normal_form(a).invariant_factors == smith_normal_form(b).invariant_factors
     )
-
-
-def build_w_prime(w: IntMatrix) -> IntMatrix:
-    """Zero-padded embedding of the trimmed walk matrix.
-
-    Pads hat_walk_matrix(w) back to the size of w: the first row, the last
-    row and the last two columns are zero.
-    """
-    padded = [row + [0, 0] for row in hat_walk_matrix(w).to_rows()]
-    return IntMatrix.from_rows([[0] * w.rows, *padded, [0] * w.rows])

@@ -19,6 +19,8 @@ from .intmatrix import IntMatrix
 _SYMMETRY_RTOL = 1e-12
 _EPS = 2.0**-52
 _MAX_QL_ITERATIONS = 30  # QL steps per eigenvalue, EISPACK's cap; about two are typical
+_GROUP_TOL = 1e-8  # eigenvalues this close share a group
+_PROJ_TOL = 1e-8  # a group is main above this all-ones projection, per sqrt(order)
 
 
 class ConvergenceError(ArithmeticError):
@@ -47,9 +49,14 @@ class ClosedFormEigenpair:
 
 def _as_float_rows(m: IntMatrix | Sequence[Sequence[float]]) -> list[list[float]]:
     if isinstance(m, IntMatrix):
+        # float() of an int is finite or raises OverflowError
         rows = [[float(x) for x in m.row(i)] for i in range(m.rows)]
     else:
         rows = [[float(x) for x in r] for r in m]
+        for i, r in enumerate(rows):
+            for j, x in enumerate(r):
+                if not math.isfinite(x):
+                    raise ValueError(f"matrix entry ({i}, {j}) is not finite: {x}")
     k = len(rows)
     if any(len(r) != k for r in rows):
         raise ValueError("matrix must be square")
@@ -277,26 +284,20 @@ def _sturm_count_below(d: list[float], e: list[float], x: float) -> int:
     return count
 
 
-def count_main_eigenvalues(
-    g: Graph, group_tol: float = 1e-8, proj_tol: float = 1e-8
-) -> SpectrumReport:
+def count_main_eigenvalues(g: Graph) -> SpectrumReport:
     """Count adjacency eigenvalues whose eigenspace is not orthogonal to the
     all-ones vector.
 
-    Eigenvalues within group_tol of their neighbor share a group; a group is
-    main when the all-ones projection onto its eigenspace has norm above
-    proj_tol * sqrt(order). The groups are then checked by inertia: at the
-    midpoint of each gap between adjacent groups, the number of eigenvalues
-    of A below it must be the number of eigenvalues in the groups below. The
-    count runs on the graph itself when it is a forest (route "tree") and on
-    the tridiagonal form of A otherwise (route "sturm").
+    Eigenvalues within _GROUP_TOL (1e-8) of their neighbor share a group; a
+    group is main when the all-ones projection onto its eigenspace has norm
+    above _PROJ_TOL (1e-8) times sqrt(order). Both tolerances are fixed. The
+    groups are then checked by inertia: at the midpoint of each gap between
+    adjacent groups, the number of eigenvalues of A below it must be the
+    number of eigenvalues in the groups below, so a repeated eigenvalue
+    that the solver splits into two groups fails the check. The count runs
+    on the graph itself when it is a forest (route "tree") and on the
+    tridiagonal form of A otherwise (route "sturm").
     """
-    # written so that NaN fails it too; an infinite group_tol would merge
-    # every eigenvalue into one group and leave no gap to check
-    if not (0 < group_tol < math.inf and 0 < proj_tol < math.inf):
-        raise ValueError(
-            f"tolerances must be finite and positive, got {group_tol} and {proj_tol}"
-        )
     k = g.order
     adj = adjacency_matrix(g)
     values, z = symmetric_eigen(adj)
@@ -306,13 +307,13 @@ def count_main_eigenvalues(
     start = 0
     while start < k:
         stop = start + 1
-        while stop < k and values[stop] - values[stop - 1] <= group_tol:
+        while stop < k and values[stop] - values[stop - 1] <= _GROUP_TOL:
             stop += 1
         members = range(start, stop)
         rep = sum(values[i] for i in members) / len(members)
         proj_sq = sum(z[i] * z[i] for i in members)
         groups.append((rep, len(members)))
-        flags.append(math.sqrt(proj_sq) > proj_tol * math.sqrt(k))
+        flags.append(math.sqrt(proj_sq) > _PROJ_TOL * math.sqrt(k))
         if stop < k:
             cuts.append((0.5 * (values[stop - 1] + values[stop]), stop))
         start = stop

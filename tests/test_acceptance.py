@@ -20,12 +20,13 @@ from walkrank.intmatrix import (
     walk_matrix,
 )
 from walkrank.quotient import (
+    build_w_prime,
     canonical_partition,
     characteristic_matrix,
     divisor_matrix,
     hat_walk_matrix,
 )
-from walkrank.snf import build_w_prime, rank_via_snf, smith_normal_form
+from walkrank.snf import rank_via_snf, smith_normal_form
 from walkrank.spectra import (
     cosine_sum,
     count_main_eigenvalues,
@@ -65,7 +66,7 @@ def test_criterion_02_smith_normal_form_of_order8_pair():
     with criterion(2, "order-8 invariant factors (1,1,1,7) for both variants", 0.100):
         w = _w(8)
         snf_w = smith_normal_form(w)
-        snf_wp = smith_normal_form(build_w_prime(w))
+        snf_wp = smith_normal_form(build_w_prime(hat_walk_matrix(w)))
         assert snf_w.invariant_factors == W8_FACTORS
         assert snf_wp.invariant_factors == W8_FACTORS
         assert snf_w.rank == W8_RANK
@@ -94,7 +95,7 @@ def test_criterion_05_integral_equivalence_to_48():
     with criterion(5, "equal Smith normal forms for both variants, n in 4..48", 180.0):
         for n in range(4, 49):
             w = _w(n)
-            assert smith_normal_form(w) == smith_normal_form(build_w_prime(w)), f"n={n}"
+            assert smith_normal_form(w) == smith_normal_form(build_w_prime(hat_walk_matrix(w))), f"n={n}"
 
 
 def test_criterion_06_closed_form_eigenpairs_to_64():

@@ -133,18 +133,22 @@ class TestSpectrum:
         assert payload["inertia_ok"] is True
         assert all({"value", "multiplicity", "main"} <= set(g) for g in payload["groups"])
 
-    def test_tight_tolerance_warns(self, capsys):
-        code, _, err = run_cli(capsys, "spectrum", "ext-dynkin:8", "--group-tol", "0.05")
-        assert code == 0
-        assert "warning" in err
-
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("flag", ["--group-tol", "--proj-tol"])
-    def test_non_finite_tolerance_exits_2(self, capsys, flag, value):
-        # "--flag=-inf", since argparse reads a bare "-inf" as an option
-        code, out, err = run_cli(capsys, "spectrum", "ext-dynkin:8", f"{flag}={value}")
-        assert code == 2
-        assert out == ""
+    def test_tolerance_flags_are_gone(self, capsys, flag):
+        # the tolerances are fixed, so even the old default is refused
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "ext-dynkin:8", flag, "1e-8"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert f"unrecognized arguments: {flag} 1e-8" in captured.err
+
+    def test_split_eigenvalue_exits_1(self, capsys, split_eigenvalue):
+        code, out, err = run_cli(capsys, "spectrum", "ext-dynkin:8")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["inertia_ok"] is False
+        assert len(payload["groups"]) == 8  # the triple eigenvalue 0 became two groups
         assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_failed_inertia_check_exits_1(self, capsys, misplaced_eigenvalue):

@@ -8,6 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import walkrank.quotient as quotient
 import walkrank.reports as reports
 from walkrank.graphs import adjacency_matrix, make_extended_dynkin
 from walkrank.intmatrix import walk_matrix
@@ -170,6 +171,22 @@ class TestRunChecks:
         assert sum(timings.values()) <= 1000.0 * steps / 2
         assert {"walk_matrix", "divisor", "ap_pb", "hat"} <= set(timings)
 
+    def test_one_trim_per_order(self, monkeypatch):
+        # wrap the trim under every name a walkrank module can call it by
+        trim, calls = quotient.hat_walk_matrix, []
+
+        def counted(w):
+            calls.append(w.rows)
+            return trim(w)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "walkrank" and getattr(module, "hat_walk_matrix", None) is trim:
+                monkeypatch.setattr(module, "hat_walk_matrix", counted)
+        run_checks(20, ALL_CHECKS)
+        assert calls == [21]
+        verify(20)
+        assert calls == [21, 21]
+
     def test_rejects_unknown_check(self):
         with pytest.raises(ValueError):
             run_checks(8, ("rank", "banana"))
@@ -236,18 +253,28 @@ class TestScan:
         assert reports._worker_count(jobs, orders, cpus) == want
 
     def test_import_leaves_the_process_pool_unloaded(self):
-        code = (
-            "import sys, walkrank.cli; "
-            "print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
-        )
-        src = os.path.dirname(os.path.dirname(os.path.abspath(reports.__file__)))
-        env = dict(os.environ, PYTHONPATH=src)
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
-        )
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "[]"
+        loaded = _loaded_after("walkrank.cli", ("concurrent", "multiprocessing"))
+        assert loaded == []
+
+    def test_snf_imports_neither_the_quotient_nor_the_graphs(self):
+        loaded = _loaded_after("walkrank.snf", ("walkrank",))
+        assert loaded == ["walkrank", "walkrank.intmatrix", "walkrank.snf"]
+
+
+def _loaded_after(module, packages):
+    """The modules of the given top-level packages loaded once a fresh
+    interpreter has imported module."""
+    code = (
+        f"import sys, {module}; "
+        f"print(*sorted(m for m in sys.modules if m.split('.')[0] in {packages!r}))"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(reports.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout.split()
 
 
 class TestSerialization:

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -43,6 +44,14 @@ def _eigenvector(m, lam):
         norm = math.sqrt(sum(t * t for t in x))
         v = [t / norm for t in x]
     return v
+
+
+_NON_FINITE = [
+    pytest.param([[0.0, math.nan], [math.nan, 0.0]], "(0, 1)", id="nan-off-diagonal"),
+    pytest.param([[math.inf, 1.0], [1.0, 0.0]], "(0, 0)", id="inf"),
+    pytest.param([[0.0, 1.0], [1.0, -math.inf]], "(1, 1)", id="minus-inf"),
+    pytest.param([[math.nan]], "(0, 0)", id="nan-1x1"),
+]
 
 
 class TestSymmetricEigen:
@@ -123,6 +132,12 @@ class TestSymmetricEigen:
         with pytest.raises(ValueError, match="non-empty"):
             symmetric_eigen([])
 
+    @pytest.mark.parametrize("m,where", _NON_FINITE)
+    def test_rejects_non_finite_entries(self, m, where):
+        # NaN compares false, so the symmetry check alone would let it through
+        with pytest.raises(ValueError, match=f"entry {re.escape(where)} is not finite"):
+            symmetric_eigen(m)
+
 
 class TestCountMainEigenvalues:
     def test_complete_graph_has_one_main_group(self):
@@ -161,19 +176,6 @@ class TestCountMainEigenvalues:
             got = sum(lam**power * x * x for lam, x in zip(values, z))
             assert abs(got - walks) <= 1e-12 * g.order * max(1, walks)
         assert count_main_eigenvalues(g).eigenvalues == tuple(values)
-
-    def test_rejects_bad_tolerances(self):
-        g = make_extended_dynkin(4)
-        with pytest.raises(ValueError):
-            count_main_eigenvalues(g, group_tol=0.0)
-        with pytest.raises(ValueError):
-            count_main_eigenvalues(g, proj_tol=-1.0)
-
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("name", ["group_tol", "proj_tol"])
-    def test_rejects_non_finite_tolerances(self, name, value):
-        with pytest.raises(ValueError, match="finite and positive"):
-            count_main_eigenvalues(make_extended_dynkin(8), **{name: value})
 
 
 def _relabelled(g, rng):
@@ -240,6 +242,12 @@ class TestInertia:
     @pytest.mark.parametrize("g", [make_extended_dynkin(8), _complete_graph(5)], ids=["tree", "sturm"])
     def test_a_moved_eigenvalue_fails_the_check(self, misplaced_eigenvalue, g):
         assert not count_main_eigenvalues(g).inertia_ok
+
+    @pytest.mark.parametrize("g", [make_extended_dynkin(8), _complete_graph(5)], ids=["tree", "sturm"])
+    def test_a_split_eigenvalue_fails_the_check(self, split_eigenvalue, g):
+        report = count_main_eigenvalues(g)
+        assert len(report.groups) == len(set(round(v, 6) for v in report.eigenvalues)) + 1
+        assert not report.inertia_ok
 
 
 class TestMetamorphic:
@@ -421,6 +429,12 @@ class TestDetWalkSpectral:
     def test_rejects_wrong_pair_count(self):
         with pytest.raises(ValueError):
             det_walk_spectral([[1.0, 0.0], [0.0, 2.0]], [(1.0, (1.0, 0.0))])
+
+    @pytest.mark.parametrize("m,where", _NON_FINITE)
+    def test_rejects_non_finite_entries(self, m, where):
+        pairs = [(float(i), [1.0 if j == i else 0.0 for j in range(len(m))]) for i in range(len(m))]
+        with pytest.raises(ValueError, match=f"entry {re.escape(where)} is not finite"):
+            det_walk_spectral(m, pairs)
 
 
 def test_eigenpair_residual_rejects_size_mismatch():
