@@ -179,33 +179,45 @@ def _bareiss(m: IntMatrix) -> tuple[int, int, int]:
     exact. The sign and last pivot mean something only when the rank equals
     the number of rows of m, so that no row was dropped: for a square m,
     sign * last pivot is then the determinant.
+
+    The elimination is left-looking. Each pivot step s leaves a record (its
+    column, its pivot, the previous pivot) and its multipliers in its pivot
+    column. Column c is brought up to date only when the loop reaches it, by
+    replaying every earlier step on rows s+1.. of that column, in order. A
+    row swap moves whole rows, and rows below every earlier pivot row are
+    treated alike by those steps, so swapping before their replay is the
+    same as after. Each entry therefore goes through the same divisions as
+    in the right-looking order, where every step rewrites all later columns:
+    the same minors, pivots, swaps and returned triple. The loop stops once
+    every row holds a pivot, so the columns after the last pivot are never
+    touched. In W of a graph of order k, with rank well below k, those are
+    the widest columns (A^j·1 for large j).
     """
     a = [list(r) for r in dict.fromkeys(map(m.row, range(m.rows))) if any(r)]
     nrows, ncols = len(a), m.cols
+    steps: list[tuple[int, int, int]] = []
     prev = 1
     sign = 1
     r = 0
     for c in range(ncols):
         if r == nrows:
             break
+        for s, (cs, p, q) in enumerate(steps):
+            xs = a[s][c]
+            for row in a[s + 1 :]:
+                f = row[cs]
+                if f:
+                    row[c] = (p * row[c] - f * xs) // q
+                elif p != q:
+                    row[c] = (p * row[c]) // q
         piv = _pick_pivot(a, c, r, nrows)
         if piv < 0:
             continue
         if piv != r:
             a[r], a[piv] = a[piv], a[r]
             sign = -sign
-        prow = a[r]
-        p = prow[c]
-        for i in range(r + 1, nrows):
-            arow = a[i]
-            f = arow[c]
-            if f:
-                for j in range(c + 1, ncols):
-                    arow[j] = (p * arow[j] - f * prow[j]) // prev
-            elif p != prev:
-                for j in range(c + 1, ncols):
-                    arow[j] = (p * arow[j]) // prev
-            arow[c] = 0
+        p = a[r][c]
+        steps.append((c, p, prev))
         prev = p
         r += 1
     return r, sign, prev

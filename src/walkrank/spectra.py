@@ -353,10 +353,24 @@ def divisor_eigenpairs(n: int) -> list[ClosedFormEigenpair]:
     return pairs
 
 
+def _check_finite_pair(name: str, eigenvalue: float, vector: Sequence[float]) -> None:
+    """Raise ValueError naming the pair and the entry unless all are finite."""
+    if not math.isfinite(eigenvalue):
+        raise ValueError(f"eigenpair {name}: eigenvalue is not finite: {eigenvalue}")
+    if not all(map(math.isfinite, vector)):
+        i = next(i for i, x in enumerate(vector) if not math.isfinite(x))
+        raise ValueError(f"eigenpair {name}: vector entry {i} is not finite: {vector[i]}")
+
+
 def eigenpair_residual(m: IntMatrix, pair: ClosedFormEigenpair) -> float:
-    """Max-norm of (m^T v - lambda v) for one claimed eigenpair of m^T."""
+    """Max-norm of (m^T v - lambda v) for one claimed eigenpair of m^T.
+
+    A NaN or infinite eigenvalue or vector entry raises ValueError.
+    """
     if m.rows != m.cols or m.rows != len(pair.vector):
         raise ValueError("matrix and eigenvector sizes disagree")
+    # max(0.0, nan) is 0.0, so a NaN would read as a perfect residual
+    _check_finite_pair(f"k={pair.k}", pair.eigenvalue, pair.vector)
     k = m.rows
     v = pair.vector
     worst = 0.0
@@ -421,7 +435,8 @@ def det_walk_spectral(
 
     Product of all eigenvalue differences times the product of the all-ones
     projections, divided by the determinant of the eigenvector matrix. The
-    eigenvectors must be numerically independent.
+    eigenvectors must be numerically independent, and every eigenvalue and
+    vector entry finite (ValueError otherwise).
     """
     rows = _as_float_rows(m)
     k = len(rows)
@@ -429,7 +444,7 @@ def det_walk_spectral(
         raise ValueError(f"need {k} eigenpairs, got {len(pairs)}")
     lams: list[float] = []
     vecs: list[Sequence[float]] = []
-    for pair in pairs:
+    for index, pair in enumerate(pairs):
         if isinstance(pair, ClosedFormEigenpair):
             lams.append(pair.eigenvalue)
             vecs.append(pair.vector)
@@ -437,6 +452,7 @@ def det_walk_spectral(
             lam, vec = pair
             lams.append(float(lam))
             vecs.append(vec)
+        _check_finite_pair(str(index), lams[-1], vecs[-1])
     if any(len(v) != k for v in vecs):
         raise ValueError("eigenvector length does not match the matrix order")
     basis = [[float(vecs[j][i]) for j in range(k)] for i in range(k)]

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -243,3 +246,24 @@ class TestScan:
         code, _, err = run_cli(capsys, "scan", "--from", "4", "--to", "5", "--checks", "nope")
         assert code == 2
         assert "error" in err
+
+    def test_closed_stdout_exits_141_without_a_traceback(self):
+        # the pipe's read end is closed before the process starts, so every
+        # run writes into a pipe with no reader
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(reports.__file__)))
+        try:
+            out = subprocess.run(
+                [sys.executable, "-m", "walkrank.cli", "scan", "--from", "4", "--to", "40"]
+                + ["--checks", "rank", "--format", "json"],
+                env=dict(os.environ, PYTHONPATH=src),
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert out.returncode == 141
+        assert out.stderr == ""  # no traceback, no error line

@@ -5,12 +5,14 @@ distinct nonzero rows of their input. Repeating a row, adding a zero row or
 permuting the rows changes neither the row space nor the invariant factors,
 so every kernel must return the same answer before and after. The expected
 ranks and determinants come from Fraction elimination over every row, which
-shares no code with the kernels.
+shares no code with the kernels. `_bareiss` is left-looking; a right-looking
+copy of the same elimination must give it the same triple on every input.
 """
 
 import random
 from fractions import Fraction
 from math import prod
+from operator import mul
 
 import pytest
 
@@ -23,6 +25,7 @@ from walkrank.intmatrix import (
     rank_modular,
     walk_matrix,
 )
+from walkrank.quotient import hat_walk_matrix
 from walkrank.snf import rank_via_snf, smith_normal_form
 
 PRIMES = (3, 1073741789)
@@ -91,6 +94,60 @@ def _reference_bareiss(m):
         prev = p
         r += 1
     return r, sign, prev
+
+
+def _right_looking_bareiss(m):
+    """Bareiss over the distinct nonzero rows of m in the right-looking order:
+    each pivot step rewrites every later column of every row below it and
+    zeroes its pivot column there."""
+    a = [list(r) for r in dict.fromkeys(map(tuple, m.to_rows())) if any(r)]
+    nrows = len(a)
+    prev, sign, r = 1, 1, 0
+    for c in range(m.cols):
+        if r == nrows:
+            break
+        nonzero = [i for i in range(r, nrows) if a[i][c]]
+        if not nonzero:
+            continue
+        piv = min(nonzero, key=lambda i: abs(a[i][c]))
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            sign = -sign
+        p = a[r][c]
+        for i in range(r + 1, nrows):
+            f = a[i][c]
+            for j in range(c + 1, m.cols):
+                a[i][j] = (p * a[i][j] - f * a[r][j]) // prev
+            a[i][c] = 0
+        prev = p
+        r += 1
+    return r, sign, prev
+
+
+def _shaped_matrix(rng, shape):
+    """Up to 12x16 with entries in -5..5, of the given shape."""
+    if shape == "wide":
+        rows = rng.randint(1, 11)
+        cols = rng.randint(rows + 1, 16)
+    elif shape == "tall":
+        cols = rng.randint(1, 11)
+        rows = rng.randint(cols + 1, 12)
+    else:
+        rows, cols = rng.randint(1, 12), rng.randint(1, 16)
+    if shape == "low-rank":
+        r = rng.randint(1, max(1, min(rows, cols) - 1))
+        x = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(rows)]
+        y = [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(r)]
+        return IntMatrix.from_rows([[sum(map(mul, xr, yc)) for yc in zip(*y)] for xr in x])
+    a = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
+    if shape == "zero-columns":
+        for j in rng.sample(range(cols), rng.randint(1, cols)):
+            for row in a:
+                row[j] = 0
+    elif shape == "repeated-rows":
+        for _ in range(rng.randint(1, rows)):
+            a[rng.randrange(rows)] = list(a[rng.randrange(rows)])
+    return IntMatrix.from_rows(a)
 
 
 def _invariants(m):
@@ -182,3 +239,27 @@ def test_walk_matrix_with_its_repeated_rows_removed_by_hand(n):
     invariants = _invariants(w)
     assert invariants == _invariants(reduced)
     assert invariants[:2] == (n // 2, n // 2) and invariants[2][1] == n // 2
+
+
+def _assert_same_as_right_looking(m):
+    triple = _right_looking_bareiss(m)
+    assert _bareiss(m) == triple
+    assert rank_fraction_free(m) == triple[0]
+    if m.rows == m.cols:
+        rank, sign, last_pivot = triple
+        assert det_exact(m) == (sign * last_pivot if rank == m.rows else 0)
+
+
+@pytest.mark.parametrize("shape", ["wide", "tall", "low-rank", "zero-columns", "repeated-rows"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_left_looking_matches_right_looking_on_random_matrices(seed, shape):
+    rng = random.Random(seed)
+    for _ in range(80):
+        _assert_same_as_right_looking(_shaped_matrix(rng, shape))
+
+
+@pytest.mark.parametrize("n", range(4, 61))
+def test_left_looking_matches_right_looking_on_walk_matrices(n):
+    w = walk_matrix(adjacency_matrix(make_extended_dynkin(n)))
+    _assert_same_as_right_looking(w)
+    _assert_same_as_right_looking(hat_walk_matrix(w))

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -51,6 +52,12 @@ _NON_FINITE = [
     pytest.param([[math.inf, 1.0], [1.0, 0.0]], "(0, 0)", id="inf"),
     pytest.param([[0.0, 1.0], [1.0, -math.inf]], "(1, 1)", id="minus-inf"),
     pytest.param([[math.nan]], "(0, 0)", id="nan-1x1"),
+]
+
+_NON_FINITE_VALUES = [
+    pytest.param(math.nan, id="nan"),
+    pytest.param(math.inf, id="inf"),
+    pytest.param(-math.inf, id="minus-inf"),
 ]
 
 
@@ -436,9 +443,48 @@ class TestDetWalkSpectral:
         with pytest.raises(ValueError, match=f"entry {re.escape(where)} is not finite"):
             det_walk_spectral(m, pairs)
 
+    @pytest.mark.parametrize("bad", _NON_FINITE_VALUES)
+    def test_rejects_non_finite_eigenvalue(self, bad):
+        pairs = [(1.0, (1.0, 0.0)), (bad, (0.0, 1.0))]
+        with pytest.raises(ValueError, match=r"eigenpair 1: eigenvalue is not finite"):
+            det_walk_spectral([[1.0, 0.0], [0.0, 2.0]], pairs)
+
+    @pytest.mark.parametrize("bad", _NON_FINITE_VALUES)
+    def test_rejects_non_finite_vector_entry(self, bad):
+        pairs = [(1.0, (1.0, 0.0)), (2.0, (0.0, bad))]
+        with pytest.raises(ValueError, match=r"eigenpair 1: vector entry 1 is not finite"):
+            det_walk_spectral([[1.0, 0.0], [0.0, 2.0]], pairs)
+
+    @pytest.mark.parametrize("bad", _NON_FINITE_VALUES)
+    def test_rejects_non_finite_closed_form_pair(self, bad):
+        n = 6
+        b = divisor_matrix(make_extended_dynkin(n), canonical_partition(n))
+        pairs = divisor_eigenpairs(n)
+        pairs[2] = replace(pairs[2], vector=pairs[2].vector[:3] + (bad,) + pairs[2].vector[4:])
+        with pytest.raises(ValueError, match=r"eigenpair 2: vector entry 3 is not finite"):
+            det_walk_spectral(b, pairs)
+
 
 def test_eigenpair_residual_rejects_size_mismatch():
     b = divisor_matrix(make_extended_dynkin(6), canonical_partition(6))
     bad = ClosedFormEigenpair(0, 2.0, (1.0, 1.0))
     with pytest.raises(ValueError):
         eigenpair_residual(b, bad)
+
+
+@pytest.mark.parametrize("bad", _NON_FINITE_VALUES)
+def test_eigenpair_residual_rejects_non_finite_eigenvalue(bad):
+    # max(0.0, nan) is 0.0: a NaN used to pass as a perfect residual
+    b = divisor_matrix(make_extended_dynkin(6), canonical_partition(6))
+    pair = replace(divisor_eigenpairs(6)[1], eigenvalue=bad)
+    with pytest.raises(ValueError, match=r"eigenpair k=1: eigenvalue is not finite"):
+        eigenpair_residual(b, pair)
+
+
+@pytest.mark.parametrize("bad", _NON_FINITE_VALUES)
+def test_eigenpair_residual_rejects_non_finite_vector_entry(bad):
+    b = divisor_matrix(make_extended_dynkin(6), canonical_partition(6))
+    pair = divisor_eigenpairs(6)[1]
+    pair = replace(pair, vector=(bad,) + pair.vector[1:])
+    with pytest.raises(ValueError, match=r"eigenpair k=1: vector entry 0 is not finite"):
+        eigenpair_residual(b, pair)
