@@ -27,6 +27,7 @@ from .graphs import (
 from .intmatrix import (
     IntMatrix,
     format_matrix_text,
+    parse_ints,
     parse_matrix_text,
     rank_fraction_free,
     rank_modular,
@@ -52,12 +53,20 @@ FAMILIES = {
 }
 
 
+def _integer(text: str) -> int:
+    """One integer, written as the text formats write it (see parse_ints)."""
+    values = parse_ints(text)
+    if len(values) != 1:
+        raise ValueError(f"expected one integer, got {text!r}")
+    return values[0]
+
+
 def _family_graph(source: str) -> Graph | None:
     name, sep, num = source.partition(":")
     if not sep or name not in FAMILIES:
         return None
     try:
-        n = int(num)
+        n = _integer(num)
     except ValueError:
         raise ValueError(f"family spec needs an integer order, got {source!r}") from None
     return FAMILIES[name](n)
@@ -116,7 +125,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
     elif method == "bareiss":
         r = rank_fraction_free(m)
     elif method.startswith("mod:"):
-        r = rank_modular(m, int(method[4:]))
+        r = rank_modular(m, _integer(method[4:]))
     else:
         raise ValueError(f"unknown method {method!r} (use snf, bareiss, or mod:<p>)")
     print(r)
@@ -225,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a graph family member")
     p.add_argument("family", choices=sorted(FAMILIES))
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_integer)
     p.add_argument("--edges", action="store_true", help="print the edge-list file format")
     p.set_defaults(func=cmd_gen)
 
@@ -244,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_snf)
 
     p = sub.add_parser("quotient", help="characteristic and divisor matrices at order n")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_integer)
     p.set_defaults(func=cmd_quotient)
 
     p = sub.add_parser("spectrum", help="eigenvalue groups and main flags as JSON")
@@ -252,19 +261,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("verify", help="full verification report at order n")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_integer)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("scan", help="run checks over a range of orders")
-    p.add_argument("--from", dest="from_n", type=int, default=4)
-    p.add_argument("--to", dest="to_n", type=int, default=64)
+    p.add_argument("--from", dest="from_n", type=_integer, default=4)
+    p.add_argument("--to", dest="to_n", type=_integer, default=64)
     p.add_argument(
         "--checks",
         default=",".join(ALL_CHECKS),
         help="comma-separated subset of: " + ", ".join(ALL_CHECKS),
     )
     p.add_argument("--format", choices=("pretty", "csv", "json"), default="pretty")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_integer, default=1)
     p.set_defaults(func=cmd_scan)
 
     return parser

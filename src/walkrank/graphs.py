@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .intmatrix import IntMatrix
+from .intmatrix import IntMatrix, parse_ints
 
 Edge = tuple[int, int]
 
@@ -47,19 +47,6 @@ class Graph:
             nbrs[u].add(v)
             nbrs[v].add(u)
         return nbrs
-
-    def degree_sequence(self) -> tuple[int, ...]:
-        """Vertex degrees in label order 1..order."""
-        degs = [0] * (self.order + 1)
-        for u, v in self.edges:
-            degs[u] += 1
-            degs[v] += 1
-        return tuple(degs[1:])
-
-
-def from_edge_list(order: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Graph from explicit pairs; duplicates collapse, self-loops are rejected."""
-    return Graph(order, frozenset((u, v) for u, v in edges))
 
 
 def make_path(n: int) -> Graph:
@@ -115,16 +102,16 @@ def parse_edge_list(text: str) -> Graph:
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln and not ln.startswith("#")]
     if not lines:
         raise ValueError("empty edge-list text")
-    head = lines[0].split()
+    head = parse_ints(lines[0])
     if len(head) != 2:
         raise ValueError(f"edge-list header must be 'order m', got {lines[0]!r}")
-    order, m = int(head[0]), int(head[1])
+    order, m = head
     if len(lines) != m + 1:
         raise ValueError(f"expected {m} edge lines, got {len(lines) - 1}")
     edges = []
     for ln in lines[1:]:
-        toks = ln.split()
-        if len(toks) != 2:
+        pair = parse_ints(ln)
+        if len(pair) != 2:
             raise ValueError(f"edge line must be 'u v', got {ln!r}")
-        edges.append((int(toks[0]), int(toks[1])))
-    return from_edge_list(order, edges)
+        edges.append(pair)
+    return Graph(order, edges)

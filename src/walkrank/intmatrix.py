@@ -41,24 +41,11 @@ class IntMatrix:
         return cls(len(rows), width, [x for r in rows for x in r])
 
     @classmethod
-    def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, [0] * (rows * cols))
-
-    @classmethod
     def identity(cls, k: int) -> "IntMatrix":
         data = [0] * (k * k)
         for i in range(k):
             data[i * k + i] = 1
         return cls(k, k, data)
-
-    @classmethod
-    def diagonal(cls, entries: Sequence[int], rows: int, cols: int) -> "IntMatrix":
-        if len(entries) > min(rows, cols):
-            raise ValueError("too many diagonal entries for the requested shape")
-        data = [0] * (rows * cols)
-        for i, d in enumerate(entries):
-            data[i * cols + i] = d
-        return cls(rows, cols, data)
 
     def __getitem__(self, key: tuple[int, int]) -> int:
         i, j = key
@@ -78,13 +65,6 @@ class IntMatrix:
         """Mutable copy as a list of row lists."""
         c = self.cols
         return [list(self._data[i * c : (i + 1) * c]) for i in range(self.rows)]
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols,
-            self.rows,
-            [self._data[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)],
-        )
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if not isinstance(other, IntMatrix):
@@ -311,6 +291,17 @@ def rank_modular(m: IntMatrix, p: int) -> int:
     return r
 
 
+def parse_ints(text: str) -> list[int]:
+    """The whitespace-separated integers of text, each ASCII `-?[0-9]+`.
+
+    int() also reads `1_000`, `+7` and non-ASCII digits such as `１`, none of
+    which the text formats write; a text holding any of them raises ValueError.
+    """
+    if not text.isascii() or "_" in text or "+" in text:
+        raise ValueError(f"integers must be written as ASCII -?[0-9]+, got {text!r}")
+    return [int(tok) for tok in text.split()]
+
+
 def format_matrix_text(m: IntMatrix) -> str:
     """Text form: header `rows cols`, then one space-separated row per line."""
     lines = [f"{m.rows} {m.cols}"]
@@ -323,15 +314,15 @@ def parse_matrix_text(text: str) -> IntMatrix:
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln and not ln.startswith("#")]
     if not lines:
         raise ValueError("empty matrix text")
-    head = lines[0].split()
+    head = parse_ints(lines[0])
     if len(head) != 2:
         raise ValueError(f"matrix header must be 'rows cols', got {lines[0]!r}")
-    rows, cols = int(head[0]), int(head[1])
+    rows, cols = head
     if len(lines) != rows + 1:
         raise ValueError(f"expected {rows} matrix rows, got {len(lines) - 1}")
     data: list[int] = []
     for ln in lines[1:]:
-        vals = [int(tok) for tok in ln.split()]
+        vals = parse_ints(ln)
         if len(vals) != cols:
             raise ValueError(f"expected {cols} entries per row, got {len(vals)}")
         data.extend(vals)

@@ -68,9 +68,9 @@ def canonical_partition(n: int) -> EquitablePartition:
     return EquitablePartition(tuple(cells))
 
 
-def _check_cover(g: Graph, p: EquitablePartition) -> None:
-    if p.vertex_set != frozenset(range(1, g.order + 1)):
-        raise ValueError("partition does not cover the graph's vertex set exactly")
+def _check_cover(p: EquitablePartition, order: int) -> None:
+    if p.vertex_set != frozenset(range(1, order + 1)):
+        raise ValueError(f"partition does not cover 1..{order} exactly")
 
 
 def _neighbor_cell_counts(g: Graph, p: EquitablePartition) -> dict[int, Counter[int]]:
@@ -97,17 +97,9 @@ def _equitability_witness(
     return None
 
 
-def is_equitable(g: Graph, p: EquitablePartition) -> bool:
-    """Whether every vertex of each cell sees the same number of neighbors in
-    every cell."""
-    _check_cover(g, p)
-    return _equitability_witness(p, _neighbor_cell_counts(g, p)) is None
-
-
 def characteristic_matrix(p: EquitablePartition, order: int) -> IntMatrix:
     """0/1 vertex-by-cell incidence matrix; each row carries exactly one 1."""
-    if p.vertex_set != frozenset(range(1, order + 1)):
-        raise ValueError(f"partition does not cover 1..{order} exactly")
+    _check_cover(p, order)
     rows = [[0] * p.cell_count for _ in range(order)]
     for c, cell in enumerate(p.cells):
         for v in cell:
@@ -122,7 +114,7 @@ def divisor_matrix(g: Graph, p: EquitablePartition) -> IntMatrix:
     equitability is re-verified here because a wrong quotient would silently
     corrupt everything downstream.
     """
-    _check_cover(g, p)
+    _check_cover(p, g.order)
     counts = _neighbor_cell_counts(g, p)
     witness = _equitability_witness(p, counts)
     if witness is not None:

@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import time
 from dataclasses import asdict, dataclass, field
@@ -302,8 +303,8 @@ def _decode(name: str, value: object) -> object:
     """One report field from its JSON value, checked against the field's type.
 
     Both parsers go through here, so neither coerces: a float where an int
-    belongs, a string where a bool belongs, or a timing that is not a number
-    raises ValueError.
+    belongs, a string where a bool belongs, or a timing that is not a finite
+    non-negative number (json reads NaN and Infinity) raises ValueError.
     """
     kind, optional = _FIELD_TYPES[name]
     if value is None:
@@ -313,7 +314,7 @@ def _decode(name: str, value: object) -> object:
         if type(value) is list and all(type(x) is int for x in value):
             return tuple(value)
     elif kind is dict:
-        if type(value) is dict and all(type(x) in (int, float) for x in value.values()):
+        if type(value) is dict and all(type(x) in (int, float) and 0 <= x < math.inf for x in value.values()):
             return value
     elif type(value) is kind:
         return value

@@ -1,4 +1,4 @@
-"""Smith normal form over the integers and integral-equivalence utilities.
+"""Smith normal form over the integers.
 
 Depends only on `intmatrix`; the zero-padded W' it is applied to is built in
 `quotient`, next to the trimmed walk matrix it pads."""
@@ -31,10 +31,6 @@ class SnfResult:
         for a, b in zip(d, d[1:]):
             if b % a:
                 raise ValueError(f"divisibility chain broken: {a} does not divide {b}")
-
-    def as_diagonal(self) -> IntMatrix:
-        """Full-size diagonal matrix diag(d_1, ..., d_r, 0, ..., 0)."""
-        return IntMatrix.diagonal(self.invariant_factors, *self.dims)
 
 
 def _nearest_div(v: int, p: int) -> int:
@@ -150,17 +146,3 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
 def rank_via_snf(m: IntMatrix) -> int:
     """Rank as the number of invariant factors."""
     return smith_normal_form(m).rank
-
-
-def integrally_equivalent(a: IntMatrix, b: IntMatrix) -> bool:
-    """Whether a and b differ by unimodular row/column transformations.
-
-    Equal shapes with equal invariant factors is exactly that relation.
-    """
-    if (a.rows, a.cols) != (b.rows, b.cols):
-        raise ValueError(
-            f"shape mismatch: {a.rows}x{a.cols} vs {b.rows}x{b.cols}"
-        )
-    return (
-        smith_normal_form(a).invariant_factors == smith_normal_form(b).invariant_factors
-    )

@@ -52,9 +52,13 @@ def _as_float_rows(m: IntMatrix | Sequence[Sequence[float]]) -> list[list[float]
         # float() of an int is finite or raises OverflowError
         rows = [[float(x) for x in m.row(i)] for i in range(m.rows)]
     else:
-        rows = [[float(x) for x in r] for r in m]
+        rows = [list(r) for r in m]
         for i, r in enumerate(rows):
             for j, x in enumerate(r):
+                # float() would read '2' as 2.0 and True as 1.0
+                if type(x) not in (int, float):
+                    raise TypeError(f"matrix entry ({i}, {j}) must be an int or a float, got {x!r}")
+                r[j] = x = float(x)
                 if not math.isfinite(x):
                     raise ValueError(f"matrix entry ({i}, {j}) is not finite: {x}")
     k = len(rows)
@@ -429,7 +433,7 @@ def _float_det(rows: list[list[float]]) -> float:
 
 def det_walk_spectral(
     m: IntMatrix | Sequence[Sequence[float]],
-    pairs: Sequence[ClosedFormEigenpair | tuple[float, Sequence[float]]],
+    pairs: Sequence[ClosedFormEigenpair],
 ) -> float:
     """Determinant of the walk matrix of m, evaluated from eigenpairs of m^T.
 
@@ -442,17 +446,10 @@ def det_walk_spectral(
     k = len(rows)
     if len(pairs) != k:
         raise ValueError(f"need {k} eigenpairs, got {len(pairs)}")
-    lams: list[float] = []
-    vecs: list[Sequence[float]] = []
     for index, pair in enumerate(pairs):
-        if isinstance(pair, ClosedFormEigenpair):
-            lams.append(pair.eigenvalue)
-            vecs.append(pair.vector)
-        else:
-            lam, vec = pair
-            lams.append(float(lam))
-            vecs.append(vec)
-        _check_finite_pair(str(index), lams[-1], vecs[-1])
+        _check_finite_pair(str(index), pair.eigenvalue, pair.vector)
+    lams = [pair.eigenvalue for pair in pairs]
+    vecs = [pair.vector for pair in pairs]
     if any(len(v) != k for v in vecs):
         raise ValueError("eigenvector length does not match the matrix order")
     basis = [[float(vecs[j][i]) for j in range(k)] for i in range(k)]

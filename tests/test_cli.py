@@ -101,6 +101,43 @@ class TestRank:
         assert err.startswith("error: ") and "deterministic" in err
 
 
+class TestIntegerArguments:
+    """Orders, ranges and moduli are read the way the text formats write
+    integers: ASCII digits with an optional minus sign."""
+
+    @pytest.mark.parametrize("spec", ["ext-dynkin:1_0", "ext-dynkin:+8", "ext-dynkin:\uff18"])
+    def test_family_spec(self, capsys, spec):
+        code, out, err = run_cli(capsys, "rank", spec)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: family spec needs an integer order")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "\uff14"],
+            ["gen", "path", "1_0"],
+            ["quotient", "+8"],
+            ["scan", "--from", "+4"],
+            ["scan", "--to", "1_0"],
+            ["scan", "--jobs", "\uff12"],
+        ],
+    )
+    def test_parser_arguments(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert f"invalid _integer value: {argv[-1]!r}" in captured.err
+
+    def test_modulus(self, capsys):
+        code, out, err = run_cli(capsys, "rank", "ext-dynkin:8", "--method", "mod:1_01")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: integers must be written as ASCII")
+
+
 class TestSnf:
     def test_factor_lines(self, capsys):
         code, out, _ = run_cli(capsys, "snf", "ext-dynkin:8")

@@ -1,15 +1,20 @@
 import pytest
 
 from walkrank.graphs import (
+    Graph,
     adjacency_matrix,
     format_edge_list,
-    from_edge_list,
     make_dynkin,
     make_extended_dynkin,
     make_path,
     parse_edge_list,
 )
 from walkrank.intmatrix import walk_matrix
+
+
+def _degrees(g):
+    """Vertex degrees in label order 1..order."""
+    return tuple(len(nbrs) for _, nbrs in sorted(g.neighbor_sets().items()))
 
 
 def test_make_path_smallest():
@@ -26,7 +31,7 @@ def test_make_path_degree_sequence():
     g = make_path(5)
     assert g.order == 5
     assert g.edge_count == 4
-    assert g.degree_sequence() == (1, 2, 2, 2, 1)
+    assert _degrees(g) == (1, 2, 2, 2, 1)
 
 
 def test_make_dynkin_smallest_is_star():
@@ -37,11 +42,11 @@ def test_make_dynkin_degree_sequence():
     g = make_dynkin(5)
     assert g.order == 5
     assert g.edge_count == 4
-    assert g.degree_sequence() == (1, 1, 3, 2, 1)
+    assert _degrees(g) == (1, 1, 3, 2, 1)
 
 
 def test_make_dynkin_branching():
-    degs = make_dynkin(6).degree_sequence()
+    degs = _degrees(make_dynkin(6))
     assert degs.count(3) == 1
     assert degs.count(1) == 3
 
@@ -51,13 +56,13 @@ def test_make_extended_dynkin_smallest_is_star():
 
 
 def test_make_extended_dynkin_degree_sequence():
-    assert make_extended_dynkin(6).degree_sequence() == (1, 1, 3, 2, 3, 1, 1)
+    assert _degrees(make_extended_dynkin(6)) == (1, 1, 3, 2, 3, 1, 1)
 
 
 def test_make_extended_dynkin_vertex_three_walk_counts():
     g = make_extended_dynkin(8)
     assert g.order == 9
-    assert g.degree_sequence()[2] == 3
+    assert _degrees(g)[2] == 3
     w = walk_matrix(adjacency_matrix(g))
     assert w.row(2)[:2] == (1, 3)
 
@@ -75,22 +80,22 @@ def test_family_rejects_small_order(maker):
 
 
 def test_from_edge_list_path():
-    assert from_edge_list(3, [(1, 2), (2, 3)]) == make_path(3)
+    assert Graph(3, [(1, 2), (2, 3)]) == make_path(3)
 
 
 def test_from_edge_list_collapses_duplicates():
-    g = from_edge_list(2, [(1, 2), (2, 1)])
+    g = Graph(2, [(1, 2), (2, 1)])
     assert g.edge_count == 1
 
 
 def test_from_edge_list_rejects_self_loop():
     with pytest.raises(ValueError):
-        from_edge_list(3, [(1, 1)])
+        Graph(3, [(1, 1)])
 
 
 def test_from_edge_list_rejects_out_of_range():
     with pytest.raises(ValueError):
-        from_edge_list(3, [(1, 4)])
+        Graph(3, [(1, 4)])
 
 
 def test_adjacency_matrix_path2():
@@ -105,7 +110,7 @@ def test_adjacency_matrix_star_row():
 @pytest.mark.parametrize("n", range(4, 16))
 def test_adjacency_symmetric_zero_diagonal(n):
     a = adjacency_matrix(make_extended_dynkin(n))
-    assert a == a.transpose()
+    assert all(a.row(i) == a.column(i) for i in range(a.rows))
     assert all(a[i, i] == 0 for i in range(a.rows))
 
 
@@ -143,3 +148,13 @@ def test_edge_list_parse_with_comments():
 def test_edge_list_parse_rejects_wrong_count():
     with pytest.raises(ValueError):
         parse_edge_list("3 2\n1 2\n")
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["3 2\n1 2\n2 +3\n", "3 2\n1 2\n2 \uff13\n", "3 1_0\n1 2\n", "+3 1\n1 2\n"],
+    ids=["plus", "fullwidth", "underscore-header", "plus-header"],
+)
+def test_edge_list_parse_rejects_integers_the_formatter_never_writes(text):
+    with pytest.raises(ValueError, match="ASCII"):
+        parse_edge_list(text)

@@ -11,7 +11,6 @@ from walkrank.quotient import (
     characteristic_matrix,
     divisor_matrix,
     hat_walk_matrix,
-    is_equitable,
 )
 
 
@@ -84,25 +83,34 @@ class TestCanonicalPartition:
 
 
 class TestIsEquitable:
+    """Equitability as divisor_matrix checks it: it returns B exactly when the
+    partition is equitable and raises NotEquitableError otherwise."""
+
     @pytest.mark.parametrize("n", range(4, 24))
     def test_canonical_partition_is_equitable(self, n):
-        assert is_equitable(make_extended_dynkin(n), canonical_partition(n))
+        b = divisor_matrix(make_extended_dynkin(n), canonical_partition(n))
+        assert (b.rows, b.cols) == (n - 1, n - 1)
 
     def test_singleton_partition_always_equitable(self):
         g = make_extended_dynkin(6)
         p = _cells(*({v} for v in range(1, g.order + 1)))
-        assert is_equitable(g, p)
+        assert divisor_matrix(g, p) == adjacency_matrix(g)
 
     def test_path3_cases(self):
         # endpoints {1,3} each see one neighbor in {2}: equitable;
         # merging an endpoint with the middle vertex breaks the count
         g = make_path(3)
-        assert is_equitable(g, _cells({1, 3}, {2}))
-        assert not is_equitable(g, _cells({1, 2}, {3}))
+        assert divisor_matrix(g, _cells({1, 3}, {2})).to_rows() == [[0, 1], [2, 0]]
+        with pytest.raises(NotEquitableError):
+            divisor_matrix(g, _cells({1, 2}, {3}))
 
     def test_rejects_cover_mismatch(self):
-        with pytest.raises(ValueError):
-            is_equitable(make_path(3), _cells({1, 2}))
+        # the divisor and characteristic matrices share one cover check
+        part = _cells({1, 2})
+        with pytest.raises(ValueError, match=r"does not cover 1\.\.3 exactly"):
+            divisor_matrix(make_path(3), part)
+        with pytest.raises(ValueError, match=r"does not cover 1\.\.3 exactly"):
+            characteristic_matrix(part, 3)
 
 
 class TestCharacteristicMatrix:
@@ -180,7 +188,6 @@ class TestDivisorMatrix:
         equitable = 0
         for g, part in _random_cases(seed=4, count=400):
             want = _brute_force_witness(g, part)
-            assert is_equitable(g, part) is (want is None)
             if want is None:
                 equitable += 1
                 nbrs = g.neighbor_sets()
@@ -224,4 +231,4 @@ class TestHatWalkMatrix:
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
-            hat_walk_matrix(IntMatrix.zero(6, 5))
+            hat_walk_matrix(IntMatrix(6, 5, [0] * 30))

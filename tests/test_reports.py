@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -342,7 +343,10 @@ class TestSerialization:
         with pytest.raises(ValueError):
             parse_scan_csv(header + "\n" + ",".join(cells) + "\n")
 
-    @pytest.mark.parametrize("value", ["notanumber", True, None, [1.0], {"ms": 1.0}])
+    # json reads NaN and Infinity, and no elapsed time is negative
+    @pytest.mark.parametrize(
+        "value", ["notanumber", True, None, [1.0], {"ms": 1.0}, math.nan, math.inf, -math.inf, -1.0, -1]
+    )
     def test_both_parsers_reject_a_timing_that_is_not_a_number(self, value):
         rep = VerifyReport(n=4, timings={"graph": value})
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 import walkrank.spectra as spectra
-from walkrank.graphs import adjacency_matrix, from_edge_list, make_extended_dynkin, make_path
+from walkrank.graphs import Graph, adjacency_matrix, make_extended_dynkin, make_path
 from walkrank.intmatrix import IntMatrix, det_exact, walk_matrix
 from walkrank.quotient import canonical_partition, divisor_matrix
 from walkrank.spectra import (
@@ -22,7 +22,7 @@ from walkrank.spectra import (
 
 
 def _complete_graph(k):
-    return from_edge_list(k, [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)])
+    return Graph(k, [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)])
 
 
 def _eigenvector(m, lam):
@@ -52,6 +52,13 @@ _NON_FINITE = [
     pytest.param([[math.inf, 1.0], [1.0, 0.0]], "(0, 0)", id="inf"),
     pytest.param([[0.0, 1.0], [1.0, -math.inf]], "(1, 1)", id="minus-inf"),
     pytest.param([[math.nan]], "(0, 0)", id="nan-1x1"),
+]
+
+# float() reads both of these as numbers, so they must be refused by type
+_NON_NUMBERS = [
+    pytest.param([["2", "1"], ["1", "2"]], "(0, 0)", id="string"),
+    pytest.param([[True, False], [False, True]], "(0, 0)", id="bool"),
+    pytest.param([[2.0, 1.0], [1.0, "2"]], "(1, 1)", id="string-last"),
 ]
 
 _NON_FINITE_VALUES = [
@@ -145,6 +152,11 @@ class TestSymmetricEigen:
         with pytest.raises(ValueError, match=f"entry {re.escape(where)} is not finite"):
             symmetric_eigen(m)
 
+    @pytest.mark.parametrize("m,where", _NON_NUMBERS)
+    def test_rejects_entries_that_are_not_numbers(self, m, where):
+        with pytest.raises(TypeError, match=f"entry {re.escape(where)} must be an int or a float"):
+            symmetric_eigen(m)
+
 
 class TestCountMainEigenvalues:
     def test_complete_graph_has_one_main_group(self):
@@ -188,7 +200,7 @@ class TestCountMainEigenvalues:
 def _relabelled(g, rng):
     perm = list(range(1, g.order + 1))
     rng.shuffle(perm)
-    return from_edge_list(g.order, [(perm[u - 1], perm[v - 1]) for u, v in g.edges])
+    return Graph(g.order, [(perm[u - 1], perm[v - 1]) for u, v in g.edges])
 
 
 def _bandwidth(g):
@@ -196,7 +208,7 @@ def _bandwidth(g):
 
 
 def _star(leaves):
-    return from_edge_list(leaves + 1, [(1, v) for v in range(2, leaves + 2)])
+    return Graph(leaves + 1, [(1, v) for v in range(2, leaves + 2)])
 
 
 class TestInertia:
@@ -212,7 +224,7 @@ class TestInertia:
             (make_path(1), 0.0, 0),
             (make_path(1), 0.5, 1),
             # a(3) = 0 below vertex 2, so the edge from 2 to the root 1 is cut
-            (from_edge_list(6, [(1, 2), (1, 4), (1, 5), (2, 3), (3, 6)]), -1.0, 2),
+            (Graph(6, [(1, 2), (1, 4), (1, 5), (2, 3), (3, 6)]), -1.0, 2),
             (make_extended_dynkin(8), 2.5, 9),
             (make_extended_dynkin(8), -2.5, 0),
             # the spectrum of D~_8 is 2 cos(j pi / 6) for j = 0..6 plus 0 twice
@@ -225,7 +237,7 @@ class TestInertia:
 
     def test_forest_detection(self):
         assert spectra._forest(_complete_graph(3)) is None
-        two_paths = from_edge_list(5, [(1, 2), (3, 4), (4, 5)])  # P2 and P3: -1, 1, +-sqrt(2), 0
+        two_paths = Graph(5, [(1, 2), (3, 4), (4, 5)])  # P2 and P3: -1, 1, +-sqrt(2), 0
         assert spectra._forest_count_below(*spectra._forest(two_paths), 0.5) == 3
         assert count_main_eigenvalues(two_paths).inertia_route == "tree"
 
@@ -386,19 +398,24 @@ class TestCosineSum:
             cosine_sum(1.0, 0.0, 2 * math.pi, 5)
 
 
+def _pairs(*pairs):
+    """ClosedFormEigenpairs numbered 0, 1, ... from (eigenvalue, vector) pairs."""
+    return [ClosedFormEigenpair(k, lam, tuple(vec)) for k, (lam, vec) in enumerate(pairs)]
+
+
 class TestDetWalkSpectral:
     def test_diagonal_two_by_two(self):
-        pairs = [(1.0, (1.0, 0.0)), (2.0, (0.0, 1.0))]
+        pairs = _pairs((1.0, (1.0, 0.0)), (2.0, (0.0, 1.0)))
         m = [[1.0, 0.0], [0.0, 2.0]]
         # exact walk matrix [[1, 1], [1, 2]] has determinant 1
         assert det_walk_spectral(m, pairs) == pytest.approx(1.0, abs=1e-12)
 
     def test_vanishes_when_a_vector_misses_the_ones(self):
-        pairs = [(1.0, (1.0, 1.0)), (-1.0, (1.0, -1.0))]
+        pairs = _pairs((1.0, (1.0, 1.0)), (-1.0, (1.0, -1.0)))
         assert det_walk_spectral([[0.0, 1.0], [1.0, 0.0]], pairs) == pytest.approx(0.0, abs=1e-12)
 
     def test_vanishes_for_repeated_eigenvalue_with_orthogonal_vector(self):
-        pairs = [(1.0, (1.0, -1.0)), (1.0, (1.0, 1.0))]
+        pairs = _pairs((1.0, (1.0, -1.0)), (1.0, (1.0, 1.0)))
         assert det_walk_spectral([[1.0, 0.0], [0.0, 1.0]], pairs) == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("n", range(5, 13))
@@ -423,35 +440,41 @@ class TestDetWalkSpectral:
                 continue
             m = IntMatrix.from_rows(entries)
             exact = det_exact(walk_matrix(m))
-            pairs = [(lam, _eigenvector(entries, lam)) for lam in values]
+            pairs = _pairs(*((lam, _eigenvector(entries, lam)) for lam in values))
             approx = det_walk_spectral(entries, pairs)
             assert abs(approx - exact) <= 1e-6 * max(1.0, abs(exact))
             checked += 1
 
     def test_rejects_dependent_vectors(self):
-        pairs = [(1.0, (1.0, 1.0)), (2.0, (2.0, 2.0))]
+        pairs = _pairs((1.0, (1.0, 1.0)), (2.0, (2.0, 2.0)))
         with pytest.raises(ValueError):
             det_walk_spectral([[1.0, 0.0], [0.0, 2.0]], pairs)
 
     def test_rejects_wrong_pair_count(self):
         with pytest.raises(ValueError):
-            det_walk_spectral([[1.0, 0.0], [0.0, 2.0]], [(1.0, (1.0, 0.0))])
+            det_walk_spectral([[1.0, 0.0], [0.0, 2.0]], _pairs((1.0, (1.0, 0.0))))
 
     @pytest.mark.parametrize("m,where", _NON_FINITE)
     def test_rejects_non_finite_entries(self, m, where):
-        pairs = [(float(i), [1.0 if j == i else 0.0 for j in range(len(m))]) for i in range(len(m))]
+        pairs = _pairs(*((float(i), [1.0 if j == i else 0.0 for j in range(len(m))]) for i in range(len(m))))
         with pytest.raises(ValueError, match=f"entry {re.escape(where)} is not finite"):
+            det_walk_spectral(m, pairs)
+
+    @pytest.mark.parametrize("m,where", _NON_NUMBERS)
+    def test_rejects_entries_that_are_not_numbers(self, m, where):
+        pairs = _pairs((1.0, (1.0, 0.0)), (3.0, (0.0, 1.0)))
+        with pytest.raises(TypeError, match=f"entry {re.escape(where)} must be an int or a float"):
             det_walk_spectral(m, pairs)
 
     @pytest.mark.parametrize("bad", _NON_FINITE_VALUES)
     def test_rejects_non_finite_eigenvalue(self, bad):
-        pairs = [(1.0, (1.0, 0.0)), (bad, (0.0, 1.0))]
+        pairs = _pairs((1.0, (1.0, 0.0)), (bad, (0.0, 1.0)))
         with pytest.raises(ValueError, match=r"eigenpair 1: eigenvalue is not finite"):
             det_walk_spectral([[1.0, 0.0], [0.0, 2.0]], pairs)
 
     @pytest.mark.parametrize("bad", _NON_FINITE_VALUES)
     def test_rejects_non_finite_vector_entry(self, bad):
-        pairs = [(1.0, (1.0, 0.0)), (2.0, (0.0, bad))]
+        pairs = _pairs((1.0, (1.0, 0.0)), (2.0, (0.0, bad)))
         with pytest.raises(ValueError, match=r"eigenpair 1: vector entry 1 is not finite"):
             det_walk_spectral([[1.0, 0.0], [0.0, 2.0]], pairs)
 

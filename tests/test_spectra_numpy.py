@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from walkrank.graphs import adjacency_matrix, from_edge_list, make_extended_dynkin
+from walkrank.graphs import Graph, adjacency_matrix, make_extended_dynkin
 from walkrank.intmatrix import rank_fraction_free, walk_matrix
 from walkrank.spectra import (
     _forest,
@@ -34,7 +34,7 @@ def _adjacency_rows(g):
 
 
 def _random_tree(rng, order):
-    return from_edge_list(order, [(rng.randint(1, v - 1), v) for v in range(2, order + 1)])
+    return Graph(order, [(rng.randint(1, v - 1), v) for v in range(2, order + 1)])
 
 
 def _complete(k):
@@ -42,7 +42,7 @@ def _complete(k):
 
 
 def _complete_graph(k):
-    return from_edge_list(k, [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)])
+    return Graph(k, [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)])
 
 
 DIAG = (2, -1, 2, 0, -1, 2)
@@ -145,7 +145,7 @@ def test_tree_inertia_matches_eigvalsh_on_random_trees():
 
 
 def _cycle(k):
-    return from_edge_list(k, [(i, i % k + 1) for i in range(1, k + 1)])
+    return Graph(k, [(i, i % k + 1) for i in range(1, k + 1)])
 
 
 STURM_GRAPHS = [(f"K{k}", _complete_graph(k)) for k in range(3, 17)] + [
