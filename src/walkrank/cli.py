@@ -43,7 +43,7 @@ from .reports import (
     scan,
     verify,
 )
-from .snf import rank_via_snf, smith_normal_form
+from .snf import count_distinct_nonzero_rows, rank_via_snf, smith_normal_form
 from .spectra import _GROUP_TOL, _PROJ_TOL, ConvergenceError, count_main_eigenvalues
 
 FAMILIES = {
@@ -82,14 +82,18 @@ def _load_graph(source: str) -> Graph:
     return parse_edge_list(path.read_text())
 
 
-def _load_matrix(source: str) -> IntMatrix:
+def _load_matrix(source: str) -> tuple[IntMatrix, int | None]:
+    """The matrix a source names, and the width its SNF may be cut at: for a
+    family spec, the walk matrix and its count of distinct nonzero rows (see
+    smith_normal_form); for a file, no cut."""
     g = _family_graph(source)
     if g is not None:
-        return walk_matrix(adjacency_matrix(g))
+        w = walk_matrix(adjacency_matrix(g))
+        return w, count_distinct_nonzero_rows(w)
     path = Path(source)
     if not path.is_file():
         raise ValueError(f"{source!r} is neither a family spec nor a readable file")
-    return parse_matrix_text(path.read_text())
+    return parse_matrix_text(path.read_text()), None
 
 
 def _print_aligned(m: IntMatrix) -> None:
@@ -118,10 +122,10 @@ def cmd_walk(args: argparse.Namespace) -> int:
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
-    m = _load_matrix(args.source)
+    m, width = _load_matrix(args.source)
     method = args.method
     if method == "snf":
-        r = rank_via_snf(m)
+        r = rank_via_snf(m, width=width)
     elif method == "bareiss":
         r = rank_fraction_free(m)
     elif method.startswith("mod:"):
@@ -133,8 +137,8 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
 
 def cmd_snf(args: argparse.Namespace) -> int:
-    m = _load_matrix(args.source)
-    result = smith_normal_form(m)
+    m, width = _load_matrix(args.source)
+    result = smith_normal_form(m, width=width)
     factors = result.invariant_factors
     print(",".join(str(d) for d in factors))
     padded = list(factors) + [0] * (min(m.rows, m.cols) - result.rank)

@@ -34,7 +34,12 @@ class EquitablePartition:
     cells: tuple[frozenset[int], ...]
 
     def __post_init__(self) -> None:
-        cells = tuple(frozenset(int(v) for v in c) for c in self.cells)
+        cells = tuple(frozenset(c) for c in self.cells)
+        for idx, cell in enumerate(cells, start=1):
+            # int() would read 1.9 as 1 and '2' as 2; bools are refused by type
+            for v in cell:
+                if type(v) is not int:
+                    raise TypeError(f"cell {idx} holds {v!r}, not an int vertex label")
         object.__setattr__(self, "cells", cells)
         if not cells:
             raise ValueError("partition needs at least one cell")

@@ -24,7 +24,7 @@ from .quotient import (
     divisor_matrix,
     hat_walk_matrix,
 )
-from .snf import SnfResult, smith_normal_form
+from .snf import SnfResult, count_distinct_nonzero_rows, smith_normal_form
 from .spectra import (
     count_main_eigenvalues,
     divisor_eigenpairs,
@@ -106,9 +106,9 @@ class _Order:
         self.n = n
         self.timings: dict[str, float] = {}
 
-    def timed(self, key: str, fn, *args):
+    def timed(self, key: str, fn, *args, **kwargs):
         t0 = time.perf_counter()
-        out = fn(*args)
+        out = fn(*args, **kwargs)
         self.timings[key] = self.timings.get(key, 0.0) + (time.perf_counter() - t0) * 1000.0
         return out
 
@@ -129,8 +129,15 @@ class _Order:
         return self.timed("divisor", divisor_matrix, self.graph, self.partition)
 
     @cached_property
+    def snf_width(self) -> int:
+        """Columns of W that its SNF needs: W's distinct nonzero rows bound
+        its rank. W' is cut at the same width, never at a count of its own:
+        it is no walk matrix, so only W's column relations justify its cut."""
+        return self.timed("snf_w", count_distinct_nonzero_rows, self.w)
+
+    @cached_property
     def snf_w(self) -> SnfResult:
-        return self.timed("snf_w", smith_normal_form, self.w)
+        return self.timed("snf_w", smith_normal_form, self.w, width=self.snf_width)
 
     @cached_property
     def hat(self) -> IntMatrix:
@@ -183,7 +190,9 @@ def _check_order(order: _Order, checks: Iterable[str]) -> ScanRow:
 
     if "snf-equiv" in checks:
         rep.snf_w = order.snf_w.invariant_factors
-        rep.snf_wprime = order.timed("snf_wprime", smith_normal_form, order.w_prime).invariant_factors
+        rep.snf_wprime = order.timed(
+            "snf_wprime", smith_normal_form, order.w_prime, width=order.snf_width
+        ).invariant_factors
         rep.integrally_equiv = rep.snf_w == rep.snf_wprime
         passed["snf-equiv"] = rep.integrally_equiv
 

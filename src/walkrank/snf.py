@@ -114,7 +114,14 @@ def _divisibility_fixup(diag: list[int]) -> list[int]:
     return d
 
 
-def smith_normal_form(m: IntMatrix) -> SnfResult:
+def count_distinct_nonzero_rows(m: IntMatrix) -> int:
+    """Number of distinct nonzero rows of m, an upper bound on its rank that
+    takes no elimination; for a walk matrix it is a `width` at which
+    `smith_normal_form` may cut."""
+    return sum(1 for r in dict.fromkeys(map(m.row, range(m.rows))) if any(r))
+
+
+def smith_normal_form(m: IntMatrix, *, width: int | None = None) -> SnfResult:
     """Invariant factors of any rectangular integer matrix.
 
     Works on the distinct nonzero rows of m only: subtracting a row from its
@@ -123,9 +130,28 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
     shape of m. Diagonalizes with elementary (unimodular) row and column
     operations, always pivoting on the smallest-magnitude nonzero entry of
     the remaining block, then repairs the divisibility chain on the diagonal.
+
+    With `width`, only the first `width` columns are eliminated, and dims
+    stays the shape of m. The factors are then those of m exactly when every
+    later column is an integer combination of the first `width`. That holds
+    for a walk matrix W = [1, A1, A^2 1, ...] of an integer A at every
+    width >= rank W, such as W's count of distinct nonzero rows: the minimal
+    polynomial of 1 under A is monic with integer coefficients (Gauss's
+    lemma), so the column A^r 1 with r = rank W, and each later one, is an
+    integer combination of the columns before it. The same relations hold
+    on any subset of W's rows, so W's width also serves its padded trim W'.
+    A width that is not an int, a bool included, raises TypeError, and one
+    below 1 ValueError.
     """
-    a = [list(r) for r in dict.fromkeys(map(m.row, range(m.rows))) if any(r)]
-    nrows, ncols = len(a), m.cols
+    ncols = m.cols
+    if width is not None:
+        if type(width) is not int:
+            raise TypeError(f"width must be an int, got {width!r}")
+        if width < 1:
+            raise ValueError(f"width must be >= 1, got {width}")
+        ncols = min(width, ncols)
+    a = [list(r) for r in dict.fromkeys(m.row(i)[:ncols] for i in range(m.rows)) if any(r)]
+    nrows = len(a)
     diag: list[int] = []
     for t in range(min(nrows, ncols)):
         pos = _min_abs_nonzero(a, t, nrows, ncols)
@@ -143,6 +169,6 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
     return SnfResult(tuple(factors), len(factors), (m.rows, m.cols))
 
 
-def rank_via_snf(m: IntMatrix) -> int:
-    """Rank as the number of invariant factors."""
-    return smith_normal_form(m).rank
+def rank_via_snf(m: IntMatrix, *, width: int | None = None) -> int:
+    """Rank as the number of invariant factors (`width` as in smith_normal_form)."""
+    return smith_normal_form(m, width=width).rank

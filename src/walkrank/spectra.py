@@ -358,7 +358,14 @@ def divisor_eigenpairs(n: int) -> list[ClosedFormEigenpair]:
 
 
 def _check_finite_pair(name: str, eigenvalue: float, vector: Sequence[float]) -> None:
-    """Raise ValueError naming the pair and the entry unless all are finite."""
+    """Raise TypeError naming the pair and the entry unless all are ints or
+    floats, bools refused, and ValueError unless all are finite."""
+    # math.isfinite(True) holds, so True would read as 1.0
+    if type(eigenvalue) not in (int, float):
+        raise TypeError(f"eigenpair {name}: eigenvalue must be an int or a float, got {eigenvalue!r}")
+    if not {int, float}.issuperset(map(type, vector)):
+        i = next(i for i, x in enumerate(vector) if type(x) not in (int, float))
+        raise TypeError(f"eigenpair {name}: vector entry {i} must be an int or a float, got {vector[i]!r}")
     if not math.isfinite(eigenvalue):
         raise ValueError(f"eigenpair {name}: eigenvalue is not finite: {eigenvalue}")
     if not all(map(math.isfinite, vector)):
@@ -369,7 +376,8 @@ def _check_finite_pair(name: str, eigenvalue: float, vector: Sequence[float]) ->
 def eigenpair_residual(m: IntMatrix, pair: ClosedFormEigenpair) -> float:
     """Max-norm of (m^T v - lambda v) for one claimed eigenpair of m^T.
 
-    A NaN or infinite eigenvalue or vector entry raises ValueError.
+    A NaN or infinite eigenvalue or vector entry raises ValueError, and one
+    that is not an int or a float (a bool included) TypeError.
     """
     if m.rows != m.cols or m.rows != len(pair.vector):
         raise ValueError("matrix and eigenvector sizes disagree")
@@ -440,7 +448,8 @@ def det_walk_spectral(
     Product of all eigenvalue differences times the product of the all-ones
     projections, divided by the determinant of the eigenvector matrix. The
     eigenvectors must be numerically independent, and every eigenvalue and
-    vector entry finite (ValueError otherwise).
+    vector entry finite (ValueError otherwise) and an int or a float, not a
+    bool (TypeError otherwise).
     """
     rows = _as_float_rows(m)
     k = len(rows)

@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
+import walkrank.cli as cli
 import walkrank.reports as reports
+import walkrank.snf as snf
 import walkrank.spectra as spectra
 from walkrank.cli import main
 from walkrank.graphs import adjacency_matrix, format_edge_list, make_extended_dynkin, make_path
@@ -145,6 +147,28 @@ class TestSnf:
         lines = out.strip().splitlines()
         assert lines[0] == "1,1,1,7"
         assert lines[1] == "diag(1,1,1,7,0,0,0,0,0)"
+
+    @pytest.mark.parametrize("command", [["snf"], ["rank", "--method", "snf"]])
+    def test_a_family_spec_is_cut_and_a_file_is_not(self, tmp_path, capsys, monkeypatch, command):
+        widths = []
+        real = snf.smith_normal_form
+
+        def spy(m, *, width=None):
+            widths.append(width)
+            return real(m, width=width)
+
+        monkeypatch.setattr(cli, "smith_normal_form", spy)
+        monkeypatch.setattr(snf, "smith_normal_form", spy)
+        f = tmp_path / "w.mat"
+        f.write_text(format_matrix_text(walk_matrix(adjacency_matrix(make_extended_dynkin(9)))))
+        outs = []
+        for source in ("ext-dynkin:9", "path:9", "dynkin:9", str(f)):
+            code, out, _ = run_cli(capsys, command[0], source, *command[1:])
+            assert code == 0
+            outs.append(out)
+        # distinct rows of W: a mirror halves D̃_9 and P_9, and D_9 swaps two leaves only
+        assert widths == [4, 5, 8, None]
+        assert outs[0] == outs[3]
 
 
 class TestQuotient:

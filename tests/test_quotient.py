@@ -61,6 +61,12 @@ class TestPartitionType:
     def test_vertex_set(self):
         assert _cells({1, 2}, {3}).vertex_set == frozenset({1, 2, 3})
 
+    @pytest.mark.parametrize("member", [1.9, "2", True], ids=["float", "string", "bool"])
+    def test_rejects_members_that_are_not_ints(self, member):
+        # int() would read 1.9 as 1 and '2' as 2, and True is an int subclass
+        with pytest.raises(TypeError, match=f"cell 2 holds {member!r}, not an int"):
+            _cells({3, 4}, {member, 5})
+
 
 class TestCanonicalPartition:
     def test_smallest(self):

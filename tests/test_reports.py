@@ -13,6 +13,7 @@ import walkrank.quotient as quotient
 import walkrank.reports as reports
 from walkrank.graphs import adjacency_matrix, make_extended_dynkin
 from walkrank.intmatrix import walk_matrix
+from walkrank.quotient import build_w_prime, hat_walk_matrix
 from walkrank.reports import (
     ALL_CHECKS,
     VerificationError,
@@ -26,7 +27,7 @@ from walkrank.reports import (
     scan,
     verify,
 )
-from walkrank.snf import smith_normal_form
+from walkrank.snf import count_distinct_nonzero_rows, smith_normal_form
 
 
 class TestVerify:
@@ -77,6 +78,28 @@ class TestVerify:
         monkeypatch.setattr(reports, "eigenpair_residual", lambda b, pair: 1.0)
         with pytest.raises(VerificationError, match="checks failed at n=8: eigpairs"):
             verify(8)
+
+    @pytest.mark.parametrize("checks", [ALL_CHECKS, ("snf-equiv",)])
+    def test_w_and_w_prime_are_cut_at_the_width_of_w(self, monkeypatch, checks):
+        counted, seen = [], []
+
+        def count(m):
+            counted.append(m)
+            return count_distinct_nonzero_rows(m)
+
+        def spy(m, *, width=None):
+            seen.append((m, width))
+            return smith_normal_form(m, width=width)
+
+        monkeypatch.setattr(reports, "count_distinct_nonzero_rows", count)
+        monkeypatch.setattr(reports, "smith_normal_form", spy)
+        n = 12
+        run_checks(n, checks)
+        w = walk_matrix(adjacency_matrix(make_extended_dynkin(n)))
+        # W' has as many distinct rows as W here, so only the count's input shows
+        # that W' is cut at W's width, as the proof needs, and not at its own
+        assert counted == [w]
+        assert seen == [(w, n // 2), (build_w_prime(hat_walk_matrix(w)), n // 2)]
 
 
 class TestConjectureCheck:

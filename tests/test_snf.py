@@ -5,10 +5,10 @@ from math import gcd
 import pytest
 
 from d8_data import W8_FACTORS, W8_PRIME_ROWS, W8_RANK
-from walkrank.graphs import adjacency_matrix, make_extended_dynkin
+from walkrank.graphs import adjacency_matrix, make_dynkin, make_extended_dynkin, make_path
 from walkrank.intmatrix import IntMatrix, det_exact, walk_matrix
 from walkrank.quotient import build_w_prime, hat_walk_matrix
-from walkrank.snf import SnfResult, rank_via_snf, smith_normal_form
+from walkrank.snf import SnfResult, count_distinct_nonzero_rows, rank_via_snf, smith_normal_form
 
 
 def _random_matrix(rng, rows, cols, bound=9):
@@ -169,6 +169,58 @@ class TestRankViaSnf:
     def test_walk_matrix_rank_formula(self, n):
         w = walk_matrix(adjacency_matrix(make_extended_dynkin(n)))
         assert rank_via_snf(w) == n // 2
+
+
+class TestWidth:
+    """SNF cut at a walk matrix's count of distinct nonzero rows."""
+
+    @pytest.mark.parametrize(
+        "family, orders",
+        [
+            (make_path, range(5, 61)),
+            (make_dynkin, range(5, 61)),
+            (make_extended_dynkin, [*range(4, 61), 200]),
+        ],
+        ids=["path", "dynkin", "ext-dynkin"],
+    )
+    def test_cut_factors_equal_the_uncut_ones(self, family, orders):
+        for n in orders:
+            w = walk_matrix(adjacency_matrix(family(n)))
+            width = count_distinct_nonzero_rows(w)
+            for m in (w, build_w_prime(hat_walk_matrix(w))):
+                cut = smith_normal_form(m, width=width)
+                assert cut == smith_normal_form(m), f"{family.__name__}({n})"
+                assert cut.dims == (m.rows, m.cols)
+                assert rank_via_snf(m, width=width) == cut.rank
+
+    @pytest.mark.parametrize("n", [*range(4, 41), 200])
+    def test_ext_dynkin_width_is_the_rank(self, n):
+        w = walk_matrix(adjacency_matrix(make_extended_dynkin(n)))
+        assert count_distinct_nonzero_rows(w) == n // 2
+
+    def test_counts_distinct_nonzero_rows(self):
+        m = IntMatrix.from_rows([[1, 2], [0, 0], [1, 2], [2, 1], [0, 0]])
+        assert count_distinct_nonzero_rows(m) == 2
+        assert count_distinct_nonzero_rows(IntMatrix(3, 2, [0] * 6)) == 0
+
+    def test_eliminates_only_the_first_columns(self):
+        m = IntMatrix.from_rows([[1, 0, 0], [0, 2, 0], [0, 0, 3], [0, 0, 0]])
+        assert _factors(m) == (1, 1, 6)
+        assert smith_normal_form(m, width=1) == SnfResult((1,), 1, (4, 3))
+        assert smith_normal_form(m, width=2) == SnfResult((1, 2), 2, (4, 3))
+        assert smith_normal_form(m, width=3) == smith_normal_form(m, width=9) == smith_normal_form(m)
+
+    @pytest.mark.parametrize("width", [True, False, 1.0, "2"])
+    def test_rejects_a_width_that_is_not_an_int(self, width):
+        with pytest.raises(TypeError, match="width must be an int"):
+            smith_normal_form(_w8(), width=width)
+
+    @pytest.mark.parametrize("width", [0, -1])
+    def test_rejects_a_width_below_one(self, width):
+        with pytest.raises(ValueError, match="width must be >= 1"):
+            smith_normal_form(_w8(), width=width)
+        with pytest.raises(ValueError, match="width must be >= 1"):
+            rank_via_snf(_w8(), width=width)
 
 
 class TestIntegralEquivalence:

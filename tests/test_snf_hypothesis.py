@@ -5,7 +5,7 @@ test-only oracle, is missing."""
 import pytest
 
 from walkrank.intmatrix import IntMatrix
-from walkrank.snf import smith_normal_form
+from walkrank.snf import count_distinct_nonzero_rows, smith_normal_form
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -61,3 +61,28 @@ def test_unimodular_operations_and_duplication_keep_the_factors(rows, operations
     after = smith_normal_form(IntMatrix.from_rows(a))
     assert after.invariant_factors == before.invariant_factors
     assert after.dims == (len(a), len(a[0]))
+
+
+SQUARE = st.integers(1, 6).flatmap(
+    lambda k: st.tuples(
+        st.lists(st.lists(st.integers(-3, 3), min_size=k, max_size=k), min_size=k, max_size=k),
+        st.lists(st.integers(-3, 3), min_size=k, max_size=k).filter(any),
+    )
+)
+
+
+@hypothesis.settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@hypothesis.given(SQUARE)
+def test_krylov_matrix_cut_at_its_distinct_rows_keeps_the_factors(case):
+    """K = [v, Av, A^2 v, ...] for any integer A and nonzero integer v: the
+    minimal polynomial of v under A is monic over the integers, so every
+    column from rank K on is an integer combination of the earlier ones."""
+    a, v = case
+    columns = [v]
+    for _ in range(len(v) - 1):
+        columns.append([sum(x * y for x, y in zip(row, columns[-1])) for row in a])
+    k = IntMatrix.from_rows([list(r) for r in zip(*columns)])
+    width = count_distinct_nonzero_rows(k)
+    full = smith_normal_form(k)
+    assert width >= full.rank
+    assert smith_normal_form(k, width=width) == full

@@ -61,6 +61,13 @@ _NON_NUMBERS = [
     pytest.param([[2.0, 1.0], [1.0, "2"]], "(1, 1)", id="string-last"),
 ]
 
+# math.isfinite reads True as 1.0, and raises on '1' without naming the pair
+_NON_REALS = [
+    pytest.param(True, id="bool"),
+    pytest.param("1", id="string"),
+    pytest.param(None, id="none"),
+]
+
 _NON_FINITE_VALUES = [
     pytest.param(math.nan, id="nan"),
     pytest.param(math.inf, id="inf"),
@@ -478,6 +485,18 @@ class TestDetWalkSpectral:
         with pytest.raises(ValueError, match=r"eigenpair 1: vector entry 1 is not finite"):
             det_walk_spectral([[1.0, 0.0], [0.0, 2.0]], pairs)
 
+    @pytest.mark.parametrize("bad", _NON_REALS)
+    def test_rejects_an_eigenvalue_that_is_not_a_number(self, bad):
+        pairs = _pairs((1.0, (1.0, 0.0)), (bad, (0.0, 1.0)))
+        with pytest.raises(TypeError, match=r"eigenpair 1: eigenvalue must be an int or a float"):
+            det_walk_spectral([[1.0, 0.0], [0.0, 2.0]], pairs)
+
+    @pytest.mark.parametrize("bad", _NON_REALS)
+    def test_rejects_a_vector_entry_that_is_not_a_number(self, bad):
+        pairs = _pairs((1.0, (1.0, 0.0)), (2.0, (0.0, bad)))
+        with pytest.raises(TypeError, match=r"eigenpair 1: vector entry 1 must be an int or a float"):
+            det_walk_spectral([[1.0, 0.0], [0.0, 2.0]], pairs)
+
     @pytest.mark.parametrize("bad", _NON_FINITE_VALUES)
     def test_rejects_non_finite_closed_form_pair(self, bad):
         n = 6
@@ -511,3 +530,27 @@ def test_eigenpair_residual_rejects_non_finite_vector_entry(bad):
     pair = replace(pair, vector=(bad,) + pair.vector[1:])
     with pytest.raises(ValueError, match=r"eigenpair k=1: vector entry 0 is not finite"):
         eigenpair_residual(b, pair)
+
+
+def test_eigenpair_residual_rejects_a_bool_pair():
+    # this pair used to give a residual of 0.0
+    m = IntMatrix.from_rows([[1, 0], [0, 2]])
+    with pytest.raises(TypeError, match=r"eigenpair k=0: eigenvalue must be an int or a float, got True"):
+        eigenpair_residual(m, ClosedFormEigenpair(0, True, (True, False)))
+    with pytest.raises(TypeError, match=r"eigenpair k=0: vector entry 0 must be an int or a float, got True"):
+        eigenpair_residual(m, ClosedFormEigenpair(0, 1, (True, False)))
+
+
+@pytest.mark.parametrize("bad", _NON_REALS)
+def test_eigenpair_residual_rejects_entries_that_are_not_numbers(bad):
+    b = divisor_matrix(make_extended_dynkin(6), canonical_partition(6))
+    pair = divisor_eigenpairs(6)[1]
+    with pytest.raises(TypeError, match=r"eigenpair k=1: eigenvalue must be an int or a float"):
+        eigenpair_residual(b, replace(pair, eigenvalue=bad))
+    with pytest.raises(TypeError, match=r"eigenpair k=1: vector entry 2 must be an int or a float"):
+        eigenpair_residual(b, replace(pair, vector=pair.vector[:2] + (bad,) + pair.vector[3:]))
+
+
+def test_eigenpair_residual_takes_int_entries():
+    m = IntMatrix.from_rows([[1, 0], [0, 2]])
+    assert eigenpair_residual(m, ClosedFormEigenpair(0, 2, (0, 1))) == 0.0
