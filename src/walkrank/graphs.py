@@ -13,6 +13,8 @@ Edge = tuple[int, int]
 def _normalize_edges(order: int, edges: Iterable[Edge]) -> frozenset[Edge]:
     out: set[Edge] = set()
     for u, v in edges:
+        if type(u) is not int or type(v) is not int:
+            raise TypeError(f"edge ({u!r}, {v!r}) has an endpoint that is not an int")
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
         if not (1 <= u <= order and 1 <= v <= order):
@@ -33,6 +35,9 @@ class Graph:
     edges: frozenset[Edge]
 
     def __post_init__(self) -> None:
+        # a bool order would pass as 1, and a float one breaks neighbor_sets()
+        if type(self.order) is not int:
+            raise TypeError(f"graph order must be an int, got {self.order!r}")
         if self.order < 1:
             raise ValueError(f"graph order must be >= 1, got {self.order}")
         object.__setattr__(self, "edges", _normalize_edges(self.order, self.edges))

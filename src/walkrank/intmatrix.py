@@ -6,7 +6,6 @@ overflow no matter how fast walk counts grow.
 
 from __future__ import annotations
 
-import operator
 from typing import Sequence
 
 
@@ -16,19 +15,20 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "_data")
 
     def __init__(self, rows: int, cols: int, data: Sequence[int]):
+        if type(rows) is not int or type(cols) is not int:
+            raise TypeError(f"matrix dimensions must be ints, got {rows!r}x{cols!r}")
         if rows < 1 or cols < 1:
             raise ValueError(f"matrix dimensions must be positive, got {rows}x{cols}")
         if len(data) != rows * cols:
             raise ValueError(
                 f"a {rows}x{cols} matrix needs {rows * cols} entries, got {len(data)}"
             )
-        # operator.index rejects floats and strings instead of truncating them,
-        # but takes True for 1, so bools are refused by type first
-        if bool in set(map(type, data)):
-            raise TypeError("matrix entries must be integers, got a bool")
+        if set(map(type, data)) != {int}:
+            i, x = next((i, x) for i, x in enumerate(data) if type(x) is not int)
+            raise TypeError(f"matrix entry ({i // cols}, {i % cols}) must be an int, got {x!r}")
         self.rows = rows
         self.cols = cols
-        self._data = tuple(map(operator.index, data))
+        self._data = tuple(data)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":

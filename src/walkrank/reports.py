@@ -11,6 +11,7 @@ import os
 import time
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
+from itertools import repeat
 from types import NoneType, UnionType
 from typing import Iterable, Sequence, get_args, get_origin, get_type_hints
 
@@ -250,11 +251,6 @@ def verify(n: int) -> VerifyReport:
     return rep
 
 
-def _scan_worker(args: tuple[int, tuple[str, ...]]) -> ScanRow:
-    n, checks = args
-    return run_checks(n, checks)
-
-
 def _worker_count(jobs: int, orders: int, cpus: int | None) -> int:
     """Processes a scan of `orders` orders uses when asked for `jobs`.
 
@@ -280,18 +276,15 @@ def scan(
     if from_n < 4 or to_n < from_n:
         raise ValueError(f"scan range must satisfy 4 <= from <= to, got {from_n}..{to_n}")
     checks = _validate_checks(checks)
-    work = [(n, checks) for n in range(from_n, to_n + 1)]
-    workers = _worker_count(jobs, len(work), os.cpu_count())
+    orders = range(from_n, to_n + 1)
+    workers = _worker_count(jobs, len(orders), os.cpu_count())
     if workers == 1:
-        rows = [_scan_worker(item) for item in work]
-    else:
-        # imported here so that a serial scan never loads the process pool
-        from concurrent.futures import ProcessPoolExecutor
+        return [run_checks(n, checks) for n in orders]
+    # imported here so that a serial scan never loads the process pool
+    from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_scan_worker, work))
-    rows.sort(key=lambda row: row.report.n)
-    return rows
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(run_checks, orders, repeat(checks)))
 
 
 def _field_types() -> dict[str, tuple[type, bool]]:

@@ -295,19 +295,24 @@ def count_main_eigenvalues(g: Graph) -> SpectrumReport:
     Eigenvalues within _GROUP_TOL (1e-8) of their neighbor share a group; a
     group is main when the all-ones projection onto its eigenspace has norm
     above _PROJ_TOL (1e-8) times sqrt(order). Both tolerances are fixed. The
-    groups are then checked by inertia: at the midpoint of each gap between
-    adjacent groups, the number of eigenvalues of A below it must be the
-    number of eigenvalues in the groups below, so a repeated eigenvalue
-    that the solver splits into two groups fails the check. The count runs
-    on the graph itself when it is a forest (route "tree") and on the
-    tridiagonal form of A otherwise (route "sturm").
+    groups are then checked by inertia: each group is bracketed from its
+    smallest member minus _GROUP_TOL/4 to its largest plus _GROUP_TOL/4, and A
+    must have exactly as many eigenvalues in the bracket as the group has
+    members. Groups lie more than _GROUP_TOL apart, so the brackets are
+    disjoint; as the multiplicities sum to the order, every eigenvalue of A
+    then lies in its group's bracket. A wrong eigenvalue, a repeated one that
+    the solver splits into two groups and two distinct ones merged into one
+    group each fail the check. The count runs on the graph itself when it is
+    a forest (route "tree") and on the tridiagonal form of A otherwise (route
+    "sturm").
     """
     k = g.order
     adj = adjacency_matrix(g)
     values, z = symmetric_eigen(adj)
+    delta = _GROUP_TOL / 4
     groups: list[tuple[float, int]] = []
     flags: list[bool] = []
-    cuts: list[tuple[float, int]] = []  # (gap midpoint, eigenvalues below it)
+    brackets: list[tuple[float, float, int]] = []  # (lo, hi, eigenvalues in between)
     start = 0
     while start < k:
         stop = start + 1
@@ -318,8 +323,7 @@ def count_main_eigenvalues(g: Graph) -> SpectrumReport:
         proj_sq = sum(z[i] * z[i] for i in members)
         groups.append((rep, len(members)))
         flags.append(math.sqrt(proj_sq) > _PROJ_TOL * math.sqrt(k))
-        if stop < k:
-            cuts.append((0.5 * (values[stop - 1] + values[stop]), stop))
+        brackets.append((values[start] - delta, values[stop - 1] + delta, len(members)))
         start = stop
     forest = _forest(g)
     if forest is not None:
@@ -333,7 +337,7 @@ def count_main_eigenvalues(g: Graph) -> SpectrumReport:
         main_flags=tuple(flags),
         main_count=sum(flags),
         inertia_route=route,
-        inertia_ok=all(below(x) == count for x, count in cuts),
+        inertia_ok=all(below(hi) - below(lo) == count for lo, hi, count in brackets),
     )
 
 

@@ -29,3 +29,33 @@ def split_eigenvalue(monkeypatch):
         return values, z
 
     monkeypatch.setattr(spectra, "symmetric_eigen", split)
+
+
+@pytest.fixture
+def in_gap_eigenvalue(monkeypatch):
+    """Patch the eigensolver so that its largest eigenvalue moves up by half
+    its gap to the next one: above every gap midpoint, but not where A has
+    an eigenvalue (K5's 4 becomes 6.5)."""
+    solve = spectra.symmetric_eigen
+
+    def moved(m):
+        values, z = solve(m)
+        values[-1] += 0.5 * (values[-1] - values[-2])
+        return values, z
+
+    monkeypatch.setattr(spectra, "symmetric_eigen", moved)
+
+
+@pytest.fixture
+def merged_eigenvalues(monkeypatch):
+    """Patch the eigensolver so that its largest eigenvalue moves down to half
+    the grouping tolerance above the next one: the grouping then merges two
+    distinct eigenvalues into one group."""
+    solve = spectra.symmetric_eigen
+
+    def merged(m):
+        values, z = solve(m)
+        values[-1] = values[-2] + 0.5 * spectra._GROUP_TOL
+        return values, z
+
+    monkeypatch.setattr(spectra, "symmetric_eigen", merged)

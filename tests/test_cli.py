@@ -223,6 +223,12 @@ class TestSpectrum:
         assert payload["inertia_route"] == "tree"
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_eigenvalue_moved_inside_its_gap_exits_1(self, capsys, in_gap_eigenvalue):
+        code, out, err = run_cli(capsys, "spectrum", "ext-dynkin:8")
+        assert code == 1
+        assert json.loads(out)["inertia_ok"] is False
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_no_convergence_exits_1(self, capsys, monkeypatch):
         monkeypatch.setattr(spectra, "_MAX_QL_ITERATIONS", 0)
         code, out, err = run_cli(capsys, "spectrum", "ext-dynkin:8")

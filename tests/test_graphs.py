@@ -98,6 +98,22 @@ def test_from_edge_list_rejects_out_of_range():
         Graph(3, [(1, 4)])
 
 
+@pytest.mark.parametrize(
+    "order,edges",
+    [(3, [(True, 2), (2, 3)]), (3, [(1, 2.0)]), (2.0, [(1, 2)]), (True, [])],
+    ids=["bool-endpoint", "float-endpoint", "float-order", "bool-order"],
+)
+def test_graph_rejects_orders_and_endpoints_that_are_not_ints(order, edges):
+    # True would be read as vertex 1, and a float order breaks neighbor_sets()
+    with pytest.raises(TypeError):
+        Graph(order, edges)
+
+
+def test_make_path_rejects_a_bool_order():
+    with pytest.raises(TypeError):
+        make_path(True)
+
+
 def test_adjacency_matrix_path2():
     assert adjacency_matrix(make_path(2)).to_rows() == [[0, 1], [1, 0]]
 

@@ -1,4 +1,5 @@
 import random
+from enum import IntEnum
 
 import pytest
 
@@ -16,6 +17,14 @@ from walkrank.intmatrix import (
 )
 from walkrank.quotient import canonical_partition, divisor_matrix
 from walkrank.snf import rank_via_snf
+
+
+class _Sub(int):
+    pass
+
+
+class _Colour(IntEnum):
+    RED = 1
 
 
 def _random_matrix(rng, rows, cols, bound=9):
@@ -48,6 +57,16 @@ class TestIntMatrix:
         with pytest.raises(ValueError):
             IntMatrix(0, 1, [])
 
+    def test_shape_must_be_ints(self):
+        # True would pass as 1 and rank as a 1x2 matrix; 2.0 would fail
+        # only in the first kernel that calls range(m.rows)
+        with pytest.raises(TypeError):
+            IntMatrix(True, 2, [1, 2])
+        with pytest.raises(TypeError):
+            IntMatrix(2.0, 1, [1, 2])
+        with pytest.raises(TypeError):
+            IntMatrix(1, 2.0, [1, 2])
+
     def test_rejects_non_integer_entries(self):
         with pytest.raises(TypeError):
             IntMatrix(1, 2, [1.9, 2])
@@ -57,6 +76,20 @@ class TestIntMatrix:
             IntMatrix(1, 2, [True, 2])
         with pytest.raises(TypeError):
             IntMatrix.from_rows([[3], [False]])
+        # nothing is coerced: an entry that is not exactly an int is refused,
+        # and the message names its (row, col)
+        for bad in (_Sub(1), _Colour.RED, True, 1.0, "1", None):
+            with pytest.raises(TypeError, match=r"\(1, 0\)"):
+                IntMatrix(2, 2, [0, 1, bad, 3])
+            with pytest.raises(TypeError, match=r"\(0, 2\)"):
+                IntMatrix.from_rows([[0, 1, bad], [3, 4, 5]])
+
+    def test_numpy_integers_are_refused(self):
+        np = pytest.importorskip("numpy")
+        with pytest.raises(TypeError, match=r"\(0, 1\)"):
+            IntMatrix(1, 2, [1, np.int64(2)])
+        with pytest.raises(TypeError, match=r"\(1, 0\)"):
+            IntMatrix.from_rows([[1], [np.int64(2)]])
 
     def test_from_rows_ragged(self):
         with pytest.raises(ValueError):

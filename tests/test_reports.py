@@ -226,6 +226,19 @@ class TestScan:
         assert [row.report.n for row in rows] == list(range(4, 13))
         assert all(row.theorem_ok for row in rows)
 
+    def test_serial_scan_calls_the_module_level_run_checks(self, monkeypatch):
+        # perfbench's trace hook patches reports.run_checks and must see every order
+        seen = []
+        real = reports.run_checks
+
+        def spy(n, checks):
+            seen.append(n)
+            return real(n, checks)
+
+        monkeypatch.setattr(reports, "run_checks", spy)
+        scan(4, 7, checks=("rank",))
+        assert seen == [4, 5, 6, 7]
+
     def test_rank_column_follows_formula(self):
         rows = scan(4, 20, checks=("rank",))
         assert [row.report.rank_exact for row in rows] == [n // 2 for n in range(4, 21)]

@@ -270,6 +270,24 @@ class TestInertia:
         assert not count_main_eigenvalues(g).inertia_ok
 
     @pytest.mark.parametrize("g", [make_extended_dynkin(8), _complete_graph(5)], ids=["tree", "sturm"])
+    def test_an_eigenvalue_moved_inside_its_gap_fails_the_check(self, in_gap_eigenvalue, g):
+        # every gap midpoint still has the right count below it; only the
+        # bracket of the moved group sees that A has no eigenvalue there
+        report = count_main_eigenvalues(g)
+        assert len(report.groups) == len(set(round(v, 6) for v in report.eigenvalues))
+        assert not report.inertia_ok
+
+    @pytest.mark.parametrize(
+        "g,top", [(make_extended_dynkin(8), 2), (_complete_graph(5), 5)], ids=["tree", "sturm"]
+    )
+    def test_two_merged_eigenvalues_fail_the_check(self, merged_eigenvalues, g, top):
+        # D~8's 2 joins sqrt(3), K5's 4 joins the four -1s: with no gap
+        # between them there is no midpoint to count at
+        report = count_main_eigenvalues(g)
+        assert report.groups[-1][1] == top
+        assert not report.inertia_ok
+
+    @pytest.mark.parametrize("g", [make_extended_dynkin(8), _complete_graph(5)], ids=["tree", "sturm"])
     def test_a_split_eigenvalue_fails_the_check(self, split_eigenvalue, g):
         report = count_main_eigenvalues(g)
         assert len(report.groups) == len(set(round(v, 6) for v in report.eigenvalues)) + 1
