@@ -72,14 +72,17 @@ def _family_graph(source: str) -> Graph | None:
     return FAMILIES[name](n)
 
 
-def _load_graph(source: str) -> Graph:
-    g = _family_graph(source)
-    if g is not None:
-        return g
+def _file_text(source: str) -> str:
+    """The text of the file a source names when it is no family spec."""
     path = Path(source)
     if not path.is_file():
         raise ValueError(f"{source!r} is neither a family spec nor a readable file")
-    return parse_edge_list(path.read_text())
+    return path.read_text()
+
+
+def _load_graph(source: str) -> Graph:
+    g = _family_graph(source)
+    return g if g is not None else parse_edge_list(_file_text(source))
 
 
 def _load_matrix(source: str) -> tuple[IntMatrix, int | None]:
@@ -87,13 +90,10 @@ def _load_matrix(source: str) -> tuple[IntMatrix, int | None]:
     family spec, the walk matrix and its count of distinct nonzero rows (see
     smith_normal_form); for a file, no cut."""
     g = _family_graph(source)
-    if g is not None:
-        w = walk_matrix(adjacency_matrix(g))
-        return w, count_distinct_nonzero_rows(w)
-    path = Path(source)
-    if not path.is_file():
-        raise ValueError(f"{source!r} is neither a family spec nor a readable file")
-    return parse_matrix_text(path.read_text()), None
+    if g is None:
+        return parse_matrix_text(_file_text(source)), None
+    w = walk_matrix(adjacency_matrix(g))
+    return w, count_distinct_nonzero_rows(w)
 
 
 def _print_aligned(m: IntMatrix) -> None:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .intmatrix import IntMatrix, parse_ints
+from .intmatrix import IntMatrix, read_int_table
 
 Edge = tuple[int, int]
 
@@ -103,20 +103,13 @@ def format_edge_list(g: Graph) -> str:
 
 
 def parse_edge_list(text: str) -> Graph:
-    """Inverse of format_edge_list; lines starting with `#` are comments."""
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln and not ln.startswith("#")]
-    if not lines:
-        raise ValueError("empty edge-list text")
-    head = parse_ints(lines[0])
-    if len(head) != 2:
-        raise ValueError(f"edge-list header must be 'order m', got {lines[0]!r}")
-    order, m = head
-    if len(lines) != m + 1:
-        raise ValueError(f"expected {m} edge lines, got {len(lines) - 1}")
-    edges = []
-    for ln in lines[1:]:
-        pair = parse_ints(ln)
-        if len(pair) != 2:
-            raise ValueError(f"edge line must be 'u v', got {ln!r}")
-        edges.append(pair)
-    return Graph(order, edges)
+    """Inverse of format_edge_list; lines starting with `#` are comments (see
+    read_int_table). An edge listed twice raises ValueError, since the graph
+    would then have fewer edges than the header's m."""
+    order, m, ends = read_int_table(text, "edge list", lambda order, m: (m, 2))
+    g = Graph(order, zip(ends[::2], ends[1::2]))
+    if g.edge_count != m:
+        raise ValueError(
+            f"edge list header counts {m} edges, but its lines name {g.edge_count} distinct edges"
+        )
+    return g

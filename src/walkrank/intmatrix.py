@@ -6,7 +6,7 @@ overflow no matter how fast walk counts grow.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 
 class IntMatrix:
@@ -292,14 +292,46 @@ def rank_modular(m: IntMatrix, p: int) -> int:
 
 
 def parse_ints(text: str) -> list[int]:
-    """The whitespace-separated integers of text, each ASCII `-?[0-9]+`.
+    """The integers of text, each ASCII `-?[0-9]+`, separated by spaces or tabs.
 
-    int() also reads `1_000`, `+7` and non-ASCII digits such as `１`, none of
-    which the text formats write; a text holding any of them raises ValueError.
+    int() also reads `1_000`, `+7` and non-ASCII digits such as `１`, and
+    str.split() also splits at form feeds and other control characters; the
+    text formats write none of these, and a text holding any raises ValueError.
     """
-    if not text.isascii() or "_" in text or "+" in text:
-        raise ValueError(f"integers must be written as ASCII -?[0-9]+, got {text!r}")
-    return [int(tok) for tok in text.split()]
+    if not text.isascii() or text.encode().translate(None, b"0123456789- \t"):
+        raise ValueError(
+            f"integers must be written as ASCII -?[0-9]+ separated by spaces or tabs, got {text!r}"
+        )
+    return list(map(int, text.split()))
+
+
+def read_int_table(
+    text: str, what: str, shape: Callable[[int, int], tuple[int, int]]
+) -> tuple[int, int, list[int]]:
+    """The header `a b` of a text format, and its body's integers in order.
+
+    Blank lines and `#` lines are skipped; shape(a, b) gives the number of body
+    lines and of integers on each. Lines end only at `\\n`, `\\r\\n` or
+    `\\r`: str.splitlines() also ends them at a form feed, NEL or U+2028, which
+    would read the tail of a comment as data.
+    """
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    lines = [ln for ln in map(str.strip, lines) if ln and not ln.startswith("#")]
+    if not lines:
+        raise ValueError(f"empty {what}")
+    head = parse_ints(lines[0])
+    if len(head) != 2:
+        raise ValueError(f"{what} header must be two integers, got {lines[0]!r}")
+    count, width = shape(*head)
+    if len(lines) != count + 1:
+        raise ValueError(f"{what} header calls for {count} lines after it, got {len(lines) - 1}")
+    data: list[int] = []
+    for ln in lines[1:]:
+        vals = parse_ints(ln)
+        if len(vals) != width:
+            raise ValueError(f"{what} lines must hold {width} integers each, got {ln!r}")
+        data.extend(vals)
+    return head[0], head[1], data
 
 
 def format_matrix_text(m: IntMatrix) -> str:
@@ -310,20 +342,5 @@ def format_matrix_text(m: IntMatrix) -> str:
 
 
 def parse_matrix_text(text: str) -> IntMatrix:
-    """Inverse of format_matrix_text; `#` lines are ignored."""
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln and not ln.startswith("#")]
-    if not lines:
-        raise ValueError("empty matrix text")
-    head = parse_ints(lines[0])
-    if len(head) != 2:
-        raise ValueError(f"matrix header must be 'rows cols', got {lines[0]!r}")
-    rows, cols = head
-    if len(lines) != rows + 1:
-        raise ValueError(f"expected {rows} matrix rows, got {len(lines) - 1}")
-    data: list[int] = []
-    for ln in lines[1:]:
-        vals = parse_ints(ln)
-        if len(vals) != cols:
-            raise ValueError(f"expected {cols} entries per row, got {len(vals)}")
-        data.extend(vals)
-    return IntMatrix(rows, cols, data)
+    """Inverse of format_matrix_text; `#` lines are ignored (see read_int_table)."""
+    return IntMatrix(*read_int_table(text, "matrix text", lambda rows, cols: (rows, cols)))

@@ -92,6 +92,8 @@ def _validate_checks(checks: Iterable[str]) -> tuple[str, ...]:
         raise ValueError(f"unknown checks: {', '.join(unknown)} (choose from {', '.join(ALL_CHECKS)})")
     if not out:
         raise ValueError("at least one check is required")
+    if len(set(out)) != len(out):
+        raise ValueError(f"each check may be named once, got {', '.join(out)}")
     return out
 
 
@@ -230,9 +232,10 @@ def run_checks(n: int, checks: Iterable[str] = ALL_CHECKS) -> ScanRow:
 def verify(n: int) -> VerifyReport:
     """Full verification at one order.
 
-    Runs every check, then compares the ranks of W, the zero-padded W', the
-    trimmed walk matrix and the walk matrix of the quotient, all built once by
-    the checks; any violation of a proven identity raises VerificationError.
+    Runs every check, then compares the ranks of W, the zero-padded W' and the
+    trimmed walk matrix, all built once by the checks. The walk matrix of the
+    quotient needs no rank of its own: the hat check has proved it equal to
+    the trim. Any violation of a proven identity raises VerificationError.
     """
     order = _Order(n)
     row = _check_order(order, ALL_CHECKS)
@@ -240,11 +243,9 @@ def verify(n: int) -> VerifyReport:
     rank_w = rep.rank_exact
     rank_wprime = len(rep.snf_wprime or ())
     rank_hat = rank_fraction_free(order.hat)
-    rank_wb = rank_fraction_free(order.wb)
-    if not rank_w == rank_wprime == rank_hat == rank_wb:
+    if not rank_w == rank_wprime == rank_hat:
         raise VerificationError(
-            f"rank chain broken at n={n}: "
-            f"W={rank_w}, W'={rank_wprime}, trimmed={rank_hat}, quotient={rank_wb}"
+            f"rank chain broken at n={n}: W={rank_w}, W'={rank_wprime}, trimmed={rank_hat}"
         )
     if row.theorem_failures:
         raise VerificationError(f"checks failed at n={n}: {', '.join(row.theorem_failures)}")
@@ -304,9 +305,10 @@ _REPORT_FIELDS = tuple(_FIELD_TYPES)
 def _decode(name: str, value: object) -> object:
     """One report field from its JSON value, checked against the field's type.
 
-    Both parsers go through here, so neither coerces: a float where an int
-    belongs, a string where a bool belongs, or a timing that is not a finite
-    non-negative number (json reads NaN and Infinity) raises ValueError.
+    parse_scan_json reads every field through here, so it never coerces: a
+    float where an int belongs, a string where a bool belongs, or a timing
+    that is not a finite non-negative number (json reads NaN and Infinity)
+    raises ValueError.
     """
     kind, optional = _FIELD_TYPES[name]
     if value is None:
@@ -351,14 +353,6 @@ def _csv_cell(value: object) -> str:
     return json.dumps(value)
 
 
-def _cell_json(name: str, cell: str) -> object:
-    if cell == "":
-        return None
-    if _FIELD_TYPES[name][0] is tuple and cell != "[]":
-        return [json.loads(tok) for tok in cell.split()]
-    return json.loads(cell)
-
-
 def reports_to_csv(reports: Sequence[VerifyReport]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -366,15 +360,3 @@ def reports_to_csv(reports: Sequence[VerifyReport]) -> str:
     for rep in reports:
         writer.writerow([_csv_cell(getattr(rep, name)) for name in _REPORT_FIELDS])
     return buf.getvalue()
-
-
-def parse_scan_csv(text: str) -> list[VerifyReport]:
-    reader = csv.reader(io.StringIO(text))
-    if tuple(next(reader, ())) != _REPORT_FIELDS:
-        raise ValueError("unexpected CSV header")
-    reports = []
-    for cells in reader:
-        if len(cells) != len(_REPORT_FIELDS):
-            raise ValueError(f"a CSV row needs {len(_REPORT_FIELDS)} cells, got {len(cells)}: {cells!r}")
-        reports.append(_report({name: _cell_json(name, cell) for name, cell in zip(_REPORT_FIELDS, cells)}))
-    return reports

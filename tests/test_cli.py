@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -13,7 +15,7 @@ from walkrank.cli import main
 from walkrank.graphs import adjacency_matrix, format_edge_list, make_extended_dynkin, make_path
 from walkrank.intmatrix import format_matrix_text, parse_matrix_text, walk_matrix
 from walkrank.quotient import canonical_partition, characteristic_matrix, divisor_matrix
-from walkrank.reports import parse_scan_csv, parse_scan_json, scan
+from walkrank.reports import parse_scan_json, scan
 
 
 def run_cli(capsys, *argv):
@@ -67,6 +69,14 @@ class TestWalk:
         code, _, err = run_cli(capsys, "walk", "no-such-file")
         assert code == 2
         assert "error" in err
+
+    def test_repeated_edge_exits_2(self, tmp_path, capsys):
+        f = tmp_path / "dup.edges"
+        f.write_text("2 2\n1 2\n2 1\n")
+        code, out, err = run_cli(capsys, "walk", str(f))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: edge list header counts 2 edges")
 
 
 class TestRank:
@@ -293,9 +303,9 @@ class TestScan:
             capsys, "scan", "--from", "4", "--to", "8", "--checks", "rank", "--format", "csv"
         )
         assert code == 0
-        rows = parse_scan_csv(out)
-        assert [r.n for r in rows] == [4, 5, 6, 7, 8]
-        assert [r.rank_exact for r in rows] == [2, 2, 3, 3, 4]
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [r["n"] for r in rows] == ["4", "5", "6", "7", "8"]
+        assert [r["rank_exact"] for r in rows] == ["2", "2", "3", "3", "4"]
 
     def test_conjecture_only_never_gates(self, capsys):
         code, out, _ = run_cli(
@@ -313,6 +323,12 @@ class TestScan:
         code, _, err = run_cli(capsys, "scan", "--from", "4", "--to", "5", "--checks", "nope")
         assert code == 2
         assert "error" in err
+
+    def test_repeated_check_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "scan", "--from", "4", "--to", "5", "--checks", "rank,rank")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: each check may be named once")
 
     def test_closed_stdout_exits_141_without_a_traceback(self):
         # the pipe's read end is closed before the process starts, so every

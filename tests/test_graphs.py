@@ -168,6 +168,28 @@ def test_edge_list_parse_rejects_wrong_count():
 
 @pytest.mark.parametrize(
     "text",
+    ["3 1\n1 2\n2 3\n", "3 2\n1 2 3\n2 3\n", "3 2\n1\n2 3\n"],
+    ids=["line-too-many", "int-too-many", "int-too-few"],
+)
+def test_edge_list_parse_rejects_a_body_that_does_not_fit_the_header(text):
+    with pytest.raises(ValueError):
+        parse_edge_list(text)
+
+
+# Graph collapses a repeated edge, which would leave fewer edges than the header counts
+@pytest.mark.parametrize("text", ["2 2\n1 2\n2 1\n", "3 2\n1 2\n1 2\n"], ids=["reversed", "same"])
+def test_edge_list_parse_rejects_a_repeated_edge(text):
+    with pytest.raises(ValueError, match="header counts 2 edges"):
+        parse_edge_list(text)
+
+
+@pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x85", "\u2028"])
+def test_edge_list_comment_ends_only_at_a_line_end(sep):
+    assert parse_edge_list(f"# page{sep}break\r\n3 2\r\n1 2\n# {sep}\r2 3\n") == make_path(3)
+
+
+@pytest.mark.parametrize(
+    "text",
     ["3 2\n1 2\n2 +3\n", "3 2\n1 2\n2 \uff13\n", "3 1_0\n1 2\n", "+3 1\n1 2\n"],
     ids=["plus", "fullwidth", "underscore-header", "plus-header"],
 )

@@ -316,6 +316,32 @@ class TestMatrixText:
     def test_comments_may_hold_any_text(self):
         assert parse_matrix_text("# \uff11 + 1_0\n1 1\n-3\n") == IntMatrix(1, 1, [-3])
 
+    # str.splitlines() ends a line at each of these, which cut such a comment in two
+    @pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x85", "\u2028"])
+    def test_a_comment_ends_only_at_a_line_end(self, sep):
+        assert parse_matrix_text(f"# page{sep}break\n1 1\n5\n") == IntMatrix(1, 1, [5])
+
+    def test_crlf_and_cr_line_ends(self):
+        m = IntMatrix.from_rows([[1, -2], [3, 4]])
+        assert parse_matrix_text("# c\r\n2 2\r\n1 -2\r\n3 4\r\n") == m
+        assert parse_matrix_text("2 2\r1 -2\r3 4\r") == m
+
+    @pytest.mark.parametrize(
+        "text",
+        ["2 2\n1 2\n3 4\n5 6\n", "2 2\n1 2\n", "2 2\n1 2 9\n3 4\n"],
+        ids=["line-too-many", "line-too-few", "int-too-many"],
+    )
+    def test_rejects_a_body_that_does_not_fit_the_header(self, text):
+        with pytest.raises(ValueError):
+            parse_matrix_text(text)
+
+    # str.splitlines() made two rows of this one, too many for the header; it
+    # must still raise now that only \n and \r end a line
+    @pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028"])
+    def test_rejects_a_line_break_character_inside_a_row(self, sep):
+        with pytest.raises(ValueError):
+            parse_matrix_text(f"1 2\n1{sep}2\n")
+
 
 class TestParseInts:
     def test_reads_signed_ascii_digits(self):
@@ -325,6 +351,11 @@ class TestParseInts:
     @pytest.mark.parametrize("text", ["1_000", "+7", "3 +7", "\uff11", "1 \u0663", "1\u00a02"])
     def test_rejects_what_int_alone_would_read(self, text):
         with pytest.raises(ValueError, match="ASCII"):
+            parse_ints(text)
+
+    @pytest.mark.parametrize("text", ["1\x0c2", "1\x0b2", "1\x1f2", "1\n2", "1\r2", "1\x002"])
+    def test_rejects_separators_other_than_spaces_and_tabs(self, text):
+        with pytest.raises(ValueError, match="spaces or tabs"):
             parse_ints(text)
 
     @pytest.mark.parametrize("text", ["1.5", "0x10", "--1", "1e3", "a"])
