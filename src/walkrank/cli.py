@@ -218,7 +218,7 @@ def _scan_pretty(rows: list[ScanRow], checks: tuple[str, ...]) -> None:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    checks = tuple(tok.strip() for tok in args.checks.split(",") if tok.strip())
+    checks = tuple(tok.strip() for tok in args.checks.split(","))
     rows = scan(args.from_n, args.to_n, checks=checks, jobs=args.jobs)
     if args.format == "json":
         sys.stdout.write(reports_to_json([row.report for row in rows]))

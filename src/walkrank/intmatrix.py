@@ -313,10 +313,13 @@ def read_int_table(
     Blank lines and `#` lines are skipped; shape(a, b) gives the number of body
     lines and of integers on each. Lines end only at `\\n`, `\\r\\n` or
     `\\r`: str.splitlines() also ends them at a form feed, NEL or U+2028, which
-    would read the tail of a comment as data.
+    would read the tail of a comment as data. Only spaces and tabs are trimmed
+    from a line's ends: str.strip() would also trim a form feed, NEL, U+2028
+    or U+3000 there, hiding it from parse_ints, and skip a line of only such
+    characters as blank.
     """
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    lines = [ln for ln in map(str.strip, lines) if ln and not ln.startswith("#")]
+    lines = [ln.strip(" \t") for ln in text.replace("\r\n", "\n").replace("\r", "\n").split("\n")]
+    lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
         raise ValueError(f"empty {what}")
     head = parse_ints(lines[0])

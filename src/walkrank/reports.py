@@ -89,7 +89,8 @@ def _validate_checks(checks: Iterable[str]) -> tuple[str, ...]:
     out = tuple(checks)
     unknown = [c for c in out if c not in ALL_CHECKS]
     if unknown:
-        raise ValueError(f"unknown checks: {', '.join(unknown)} (choose from {', '.join(ALL_CHECKS)})")
+        names = ", ".join(map(repr, unknown))
+        raise ValueError(f"unknown checks: {names} (choose from {', '.join(ALL_CHECKS)})")
     if not out:
         raise ValueError("at least one check is required")
     if len(set(out)) != len(out):

@@ -1,9 +1,10 @@
 """Floating-point spectra: a self-contained symmetric eigensolver (band
 reduction to tridiagonal form, then implicit-shift QL, both rotating only the
 all-ones vector Q^T 1 and forming no eigenvectors), main-eigenvalue counting
-with an inertia check of its eigenvalue groups (Jacobs & Trevisan on a
-forest, a Sturm count otherwise), closed-form eigenpairs of the transposed
-divisor matrix, and the spectral determinant formula for walk matrices."""
+with an inertia check of its eigenvalue groups (one LDL^T count on a weighted
+forest: the graph itself when it is a forest, the tridiagonal form as a path
+otherwise), closed-form eigenpairs of the transposed divisor matrix, and the
+spectral determinant formula for walk matrices."""
 
 from __future__ import annotations
 
@@ -239,52 +240,32 @@ def _forest(g: Graph) -> tuple[list[int], list[int]] | None:
     return parent, order
 
 
-def _forest_count_below(parent: list[int], order: list[int], x: float) -> int:
-    """Number of adjacency eigenvalues of a forest below x.
+def _count_below(
+    parent: Sequence[int], order: Sequence[int], diag: Sequence[float], w2: Sequence[float], x: float
+) -> int:
+    """Number of eigenvalues below x of a symmetric matrix M on a weighted forest.
 
-    Jacobs & Trevisan's diagonalisation (LAA 434, 2011) works leaves first on
-    the forest itself and gives a diagonal matrix congruent to A - xI, so by
-    Sylvester's law of inertia its negative entries count the eigenvalues
-    below x. O(order) per call.
+    M has diagonal diag, and its only other nonzero entries are the ones
+    between each v and parent[v] (parent -1 at a root), squared in w2[v];
+    order lists every vertex after its parent. Eliminating M - xI leaves
+    first makes no fill-in and gives M - xI = L D L^T, so by Sylvester's law
+    of inertia the negative pivots count the eigenvalues below x (Jacobs &
+    Trevisan, LAA 434, 2011, on a tree; on a path it is the Sturm count,
+    Parlett, The Symmetric Eigenvalue Problem). A pivot smaller than LAPACK's
+    pivmin counts as zero and is replaced by +pivmin, so no division
+    overflows and an eigenvalue at x itself is not counted. O(order) per call.
     """
-    a = [-x] * len(parent)
-    pulled = [0.0] * len(parent)  # sum of 1/a(c) over the children c
-    zero_child = [-1] * len(parent)
-    for v in reversed(order):
-        c = zero_child[v]
-        if c >= 0:
-            # a child with a(c) = 0: the pair (c, v) becomes (2, -1/2) and the
-            # edge from v to its parent is dropped
-            a[c], a[v] = 2.0, -0.5
-            continue
-        a[v] -= pulled[v]
-        p = parent[v]
-        if p >= 0:
-            if a[v]:
-                pulled[p] += 1.0 / a[v]
-            else:
-                zero_child[p] = v
-    return sum(1 for y in a if y < 0)
-
-
-def _sturm_count_below(d: list[float], e: list[float], x: float) -> int:
-    """Number of eigenvalues below x of the tridiagonal matrix (d, e).
-
-    The negative pivots of T - xI = L D L^T, the Sturm count (Parlett, The
-    Symmetric Eigenvalue Problem). A pivot smaller than LAPACK's pivmin
-    counts as zero and is replaced by +pivmin, so no division overflows and,
-    as on the tree route, an eigenvalue at x itself is not counted.
-    """
-    pivmin = sys.float_info.min * max(1.0, max(v * v for v in e))
+    pivmin = sys.float_info.min * max(1.0, max(w2))
+    pulled = [0.0] * len(parent)  # sum of w2(c)/pivot(c) over the children c
     count = 0
-    q = 1.0
-    e2 = 0.0
-    for di, ei in zip(d, e):
-        q = di - x - e2 / q
+    for v in reversed(order):
+        q = diag[v] - x - pulled[v]
         if abs(q) < pivmin:
             q = pivmin
         count += q < 0
-        e2 = ei * ei
+        p = parent[v]
+        if p >= 0:
+            pulled[p] += w2[v] / q
     return count
 
 
@@ -302,9 +283,11 @@ def count_main_eigenvalues(g: Graph) -> SpectrumReport:
     disjoint; as the multiplicities sum to the order, every eigenvalue of A
     then lies in its group's bracket. A wrong eigenvalue, a repeated one that
     the solver splits into two groups and two distinct ones merged into one
-    group each fail the check. The count runs on the graph itself when it is
-    a forest (route "tree") and on the tridiagonal form of A otherwise (route
-    "sturm").
+    group each fail the check. The count is one LDL^T elimination on a
+    weighted forest (_count_below): on the graph itself when it is a forest
+    (route "tree", independent of the band reduction and of QL), and on the
+    tridiagonal form of A taken before QL, as a weighted path, otherwise
+    (route "sturm").
     """
     k = g.order
     adj = adjacency_matrix(g)
@@ -327,10 +310,13 @@ def count_main_eigenvalues(g: Graph) -> SpectrumReport:
         start = stop
     forest = _forest(g)
     if forest is not None:
-        route, below = "tree", lambda x: _forest_count_below(*forest, x)
+        route, (parent, order), diag, w2 = "tree", forest, [0.0] * k, [1.0] * k
     else:
-        d, e, _ = _tridiagonal(_as_float_rows(adj))
-        route, below = "sturm", lambda x: _sturm_count_below(d, e, x)
+        # the tridiagonal form taken before QL, as a path rooted at k-1
+        route, parent, order = "sturm", [*range(1, k), -1], range(k - 1, -1, -1)
+        diag, e, _ = _tridiagonal(_as_float_rows(adj))
+        w2 = [v * v for v in e]
+    below = lambda x: _count_below(parent, order, diag, w2, x)
     return SpectrumReport(
         eigenvalues=tuple(values),
         groups=tuple(groups),

@@ -330,6 +330,13 @@ class TestScan:
         assert out == ""
         assert err.startswith("error: each check may be named once")
 
+    @pytest.mark.parametrize("checks", ["rank,, ,hat", "rank,", ""])
+    def test_empty_check_name_exits_2(self, capsys, checks):
+        code, out, err = run_cli(capsys, "scan", "--from", "4", "--to", "5", "--checks", checks)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: unknown checks: ''")
+
     def test_closed_stdout_exits_141_without_a_traceback(self):
         # the pipe's read end is closed before the process starts, so every
         # run writes into a pipe with no reader

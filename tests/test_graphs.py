@@ -188,6 +188,19 @@ def test_edge_list_comment_ends_only_at_a_line_end(sep):
     assert parse_edge_list(f"# page{sep}break\r\n3 2\r\n1 2\n# {sep}\r2 3\n") == make_path(3)
 
 
+# str.strip() trimmed these from a line's ends, so "2 1\n1 2\u3000\n" read
+# as a graph and a line of only "\x1c" was skipped as blank
+@pytest.mark.parametrize("char", ["\u2028", "\x85", "\u3000", "\x0c", "\x1c"])
+@pytest.mark.parametrize(
+    "template",
+    ["{c}2 1\n1 2\n", "2 1{c}\n1 2\n", "2 1\n{c}1 2\n", "2 1\n1 2{c}\n", "2 1\n{c}\n1 2\n"],
+    ids=["header-start", "header-end", "edge-start", "edge-end", "alone"],
+)
+def test_edge_list_parse_rejects_a_character_that_only_str_strip_trims(template, char):
+    with pytest.raises(ValueError):
+        parse_edge_list(template.format(c=char))
+
+
 @pytest.mark.parametrize(
     "text",
     ["3 2\n1 2\n2 +3\n", "3 2\n1 2\n2 \uff13\n", "3 1_0\n1 2\n", "+3 1\n1 2\n"],

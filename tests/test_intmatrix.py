@@ -342,6 +342,18 @@ class TestMatrixText:
         with pytest.raises(ValueError):
             parse_matrix_text(f"1 2\n1{sep}2\n")
 
+    # str.strip() trimmed these from a line's ends, so "1 1\n5\u2028\n" read
+    # as [[5]] and a line of only "\x1c" was skipped as blank
+    @pytest.mark.parametrize("char", ["\u2028", "\x85", "\u3000", "\x0c", "\x1c"])
+    @pytest.mark.parametrize(
+        "template",
+        ["{c}1 1\n5\n", "1 1{c}\n5\n", "1 1\n{c}5\n", "1 1\n5{c}\n", "1 1\n{c}\n5\n"],
+        ids=["header-start", "header-end", "row-start", "row-end", "alone"],
+    )
+    def test_rejects_a_character_that_only_str_strip_trims(self, template, char):
+        with pytest.raises(ValueError):
+            parse_matrix_text(template.format(c=char))
+
 
 class TestParseInts:
     def test_reads_signed_ascii_digits(self):

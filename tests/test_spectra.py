@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from inertia_counts import path_count_below, tree_count_below
 import walkrank.spectra as spectra
 from walkrank.graphs import Graph, adjacency_matrix, make_extended_dynkin, make_path
 from walkrank.intmatrix import IntMatrix, det_exact, walk_matrix
@@ -222,7 +223,7 @@ class TestInertia:
     @pytest.mark.parametrize(
         "g,x,below",
         [
-            # the zero rule of the diagonalisation: a(leaf) = -x = 0 at x = 0
+            # zero pivots: a leaf's pivot is -x, so 0 at x = 0, and becomes +pivmin
             (_star(3), 0.0, 1),  # -sqrt(3), 0, 0, sqrt(3)
             (make_path(3), 0.0, 1),  # -sqrt(2), 0, sqrt(2)
             (make_path(4), 0.0, 2),  # +-1.618, +-0.618
@@ -230,7 +231,8 @@ class TestInertia:
             (make_path(2), -1.0, 0),
             (make_path(1), 0.0, 0),
             (make_path(1), 0.5, 1),
-            # a(3) = 0 below vertex 2, so the edge from 2 to the root 1 is cut
+            # vertex 3's pivot is 0 and becomes +pivmin; vertex 2's is then about
+            # -1/pivmin, which pushes almost nothing into the root 1
             (Graph(6, [(1, 2), (1, 4), (1, 5), (2, 3), (3, 6)]), -1.0, 2),
             (make_extended_dynkin(8), 2.5, 9),
             (make_extended_dynkin(8), -2.5, 0),
@@ -240,12 +242,12 @@ class TestInertia:
         ],
     )
     def test_tree_counts_at_exact_eigenvalues_and_between(self, g, x, below):
-        assert spectra._forest_count_below(*spectra._forest(g), x) == below
+        assert tree_count_below(g, x) == below
 
     def test_forest_detection(self):
         assert spectra._forest(_complete_graph(3)) is None
         two_paths = Graph(5, [(1, 2), (3, 4), (4, 5)])  # P2 and P3: -1, 1, +-sqrt(2), 0
-        assert spectra._forest_count_below(*spectra._forest(two_paths), 0.5) == 3
+        assert tree_count_below(two_paths, 0.5) == 3
         assert count_main_eigenvalues(two_paths).inertia_route == "tree"
 
     @pytest.mark.parametrize("k", range(1, 9))
@@ -255,15 +257,27 @@ class TestInertia:
         assert report.inertia_route == ("tree" if k <= 2 else "sturm")
         assert report.inertia_ok
         d, e, _ = spectra._tridiagonal([[0.0 if i == j else 1.0 for j in range(k)] for i in range(k)])
-        assert spectra._sturm_count_below(d, e, -1.5) == 0
-        assert spectra._sturm_count_below(d, e, (k - 2) / 2) == k - 1
-        assert spectra._sturm_count_below(d, e, k) == k
+        assert path_count_below(d, e, -1.5) == 0
+        assert path_count_below(d, e, (k - 2) / 2) == k - 1
+        assert path_count_below(d, e, k) == k
 
     @pytest.mark.parametrize("x,below", [(0.0, 1), (0.5, 1), (1.0, 1), (-1.0, 0), (1.5, 2)])
     def test_sturm_count_at_zero_pivots(self, x, below):
         # T = [[0, 1], [1, 0]] has eigenvalues -1 and 1; at x = 0 the first
         # pivot of T - xI is zero and at x = +-1 the last one is
-        assert spectra._sturm_count_below([0.0, 0.0], [1.0, 0.0], x) == below
+        assert path_count_below([0.0, 0.0], [1.0, 0.0], x) == below
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_a_path_counts_the_same_as_a_graph_and_as_a_tridiagonal(self, k):
+        # P_k has eigenvalues 2 cos(j pi / (k + 1)), j = 1..k, each simple;
+        # the tree route reads it as a graph, the Sturm route as T = (0, 1)
+        values = sorted(2.0 * math.cos(j * math.pi / (k + 1)) for j in range(1, k + 1))
+        d, e = [0.0] * k, [1.0] * (k - 1) + [0.0]
+        for x in values:
+            assert tree_count_below(make_path(k), x) == path_count_below(d, e, x)
+        for below, (lo, hi) in enumerate(zip(values, values[1:]), start=1):
+            x = (lo + hi) / 2
+            assert tree_count_below(make_path(k), x) == path_count_below(d, e, x) == below
 
     @pytest.mark.parametrize("g", [make_extended_dynkin(8), _complete_graph(5)], ids=["tree", "sturm"])
     def test_a_moved_eigenvalue_fails_the_check(self, misplaced_eigenvalue, g):
