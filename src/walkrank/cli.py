@@ -97,7 +97,7 @@ def _load_matrix(source: str) -> tuple[IntMatrix, int | None]:
 
 
 def _print_aligned(m: IntMatrix) -> None:
-    cells = [[str(m[i, j]) for j in range(m.cols)] for i in range(m.rows)]
+    cells = [[str(x) for x in m.row(i)] for i in range(m.rows)]
     widths = [max(len(cells[i][j]) for i in range(m.rows)) for j in range(m.cols)]
     for row in cells:
         print("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))

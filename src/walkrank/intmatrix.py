@@ -47,19 +47,8 @@ class IntMatrix:
             data[i * k + i] = 1
         return cls(k, k, data)
 
-    def __getitem__(self, key: tuple[int, int]) -> int:
-        i, j = key
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError(f"index ({i}, {j}) outside {self.rows}x{self.cols}")
-        return self._data[i * self.cols + j]
-
     def row(self, i: int) -> tuple[int, ...]:
         return self._data[i * self.cols : (i + 1) * self.cols]
-
-    def column(self, j: int) -> tuple[int, ...]:
-        if not 0 <= j < self.cols:
-            raise IndexError(f"column {j} outside {self.rows}x{self.cols}")
-        return self._data[j :: self.cols]
 
     def to_rows(self) -> list[list[int]]:
         """Mutable copy as a list of row lists."""
@@ -255,8 +244,11 @@ def rank_modular(m: IntMatrix, p: int) -> int:
     truth. Elimination runs on the distinct nonzero rows of m mod p, since a
     repeated or zero row adds nothing to the row space over GF(p). Moduli at
     or above _MR_DETERMINISTIC_BELOW are rejected, since primality is not
-    certain there.
+    certain there. A modulus that is not an int, a bool included, raises
+    TypeError.
     """
+    if type(p) is not int:
+        raise TypeError(f"modulus must be an int, got {p!r}")
     if p >= _MR_DETERMINISTIC_BELOW:
         raise ValueError(
             f"modulus {p} is at or above {_MR_DETERMINISTIC_BELOW}, where the "
@@ -316,7 +308,8 @@ def read_int_table(
     would read the tail of a comment as data. Only spaces and tabs are trimmed
     from a line's ends: str.strip() would also trim a form feed, NEL, U+2028
     or U+3000 there, hiding it from parse_ints, and skip a line of only such
-    characters as blank.
+    characters as blank. Every body line is parsed before the line count is
+    checked, so a bad line is named even when it also makes the count wrong.
     """
     lines = [ln.strip(" \t") for ln in text.replace("\r\n", "\n").replace("\r", "\n").split("\n")]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
@@ -326,14 +319,14 @@ def read_int_table(
     if len(head) != 2:
         raise ValueError(f"{what} header must be two integers, got {lines[0]!r}")
     count, width = shape(*head)
-    if len(lines) != count + 1:
-        raise ValueError(f"{what} header calls for {count} lines after it, got {len(lines) - 1}")
     data: list[int] = []
     for ln in lines[1:]:
         vals = parse_ints(ln)
         if len(vals) != width:
             raise ValueError(f"{what} lines must hold {width} integers each, got {ln!r}")
         data.extend(vals)
+    if len(lines) != count + 1:
+        raise ValueError(f"{what} header calls for {count} lines after it, got {len(lines) - 1}")
     return head[0], head[1], data
 
 

@@ -257,8 +257,11 @@ def _worker_count(jobs: int, orders: int, cpus: int | None) -> int:
     """Processes a scan of `orders` orders uses when asked for `jobs`.
 
     More workers than CPUs or than orders would only wait; `cpus` is
-    os.cpu_count(), which may be None.
+    os.cpu_count(), which may be None. A `jobs` that is not an int, a bool
+    included, raises TypeError.
     """
+    if type(jobs) is not int:
+        raise TypeError(f"jobs must be an int, got {jobs!r}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     return min(jobs, cpus or 1, orders)

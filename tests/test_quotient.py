@@ -140,7 +140,7 @@ class TestCharacteristicMatrix:
     def test_maps_ones_to_ones(self, n):
         m = characteristic_matrix(canonical_partition(n), n + 1)
         ones = IntMatrix(m.cols, 1, [1] * m.cols)
-        assert (m @ ones).column(0) == (1,) * (n + 1)
+        assert (m @ ones).to_rows() == [[1]] * (n + 1)
 
     def test_rejects_cover_mismatch(self):
         with pytest.raises(ValueError):

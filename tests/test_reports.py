@@ -293,6 +293,12 @@ class TestScan:
         with pytest.raises(ValueError, match="jobs"):
             scan(4, 6, jobs=jobs)
 
+    # True ran the scan serially, as jobs=1
+    @pytest.mark.parametrize("jobs", [True, 2.0, "2"], ids=["bool", "float", "str"])
+    def test_rejects_jobs_that_is_not_an_int(self, jobs):
+        with pytest.raises(TypeError, match="jobs must be an int"):
+            scan(4, 6, jobs=jobs)
+
     @pytest.mark.parametrize(
         "jobs, orders, cpus, want",
         [

@@ -48,6 +48,17 @@ def _eigenvector(m, lam):
     return v
 
 
+def _dense_residual(m, pair):
+    """The entrywise loop the residual used to run, column by column: the reference."""
+    k = m.rows
+    v = pair.vector
+    want = 0.0
+    for j in range(k):
+        s = sum(m.row(i)[j] * v[i] for i in range(k))
+        want = max(want, abs(s - pair.eigenvalue * v[j]))
+    return want
+
+
 _NON_FINITE = [
     pytest.param([[0.0, math.nan], [math.nan, 0.0]], "(0, 1)", id="nan-off-diagonal"),
     pytest.param([[math.inf, 1.0], [1.0, 0.0]], "(0, 0)", id="inf"),
@@ -199,7 +210,7 @@ class TestCountMainEigenvalues:
         values, z = symmetric_eigen(adj)
         w = walk_matrix(adj)
         for power in range(min(g.order, 8)):
-            walks = sum(w.column(power))
+            walks = sum(r[power] for r in w.to_rows())
             got = sum(lam**power * x * x for lam, x in zip(values, z))
             assert abs(got - walks) <= 1e-12 * g.order * max(1, walks)
         assert count_main_eigenvalues(g).eigenvalues == tuple(values)
@@ -359,16 +370,30 @@ class TestDivisorEigenpairs:
 
     @pytest.mark.parametrize("n", range(4, 41))
     def test_residual_is_the_dense_formula(self, n):
-        # the entrywise loop the residual used to run, kept as the reference
         b = divisor_matrix(make_extended_dynkin(n), canonical_partition(n))
-        k = b.rows
         for pair in divisor_eigenpairs(n):
-            v = pair.vector
-            want = 0.0
-            for j in range(k):
-                s = sum(b[i, j] * v[i] for i in range(k))
-                want = max(want, abs(s - pair.eigenvalue * v[j]))
-            assert eigenpair_residual(b, pair) == want
+            assert eigenpair_residual(b, pair) == _dense_residual(b, pair)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_residual_is_the_dense_formula_on_any_matrix(self, seed):
+        # skipping a zero entry skips a 0 * v[i] term, which never changes a
+        # float sum; the dense sum may turn float where the sparse one stays
+        # int, so values are compared and types are not
+        rng = random.Random(seed)
+        entries = [0.0, -0.0, 0, 1, -2, 3, 1e-300, -3e-300, 0.5, -1.25, 999.75, -1e3]
+        for _ in range(500):
+            k = rng.randint(1, 12)
+            density = rng.random()
+            m = IntMatrix(
+                k, k, [rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(k * k)]
+            )
+            v = tuple(
+                rng.choice(entries) if rng.random() < 0.5 else rng.uniform(-1e3, 1e3)
+                for _ in range(k)
+            )
+            lam = rng.choice([rng.uniform(-20, 20), rng.randint(-9, 9), -0.0, 0.0])
+            pair = ClosedFormEigenpair(0, lam, v)
+            assert eigenpair_residual(m, pair) == _dense_residual(m, pair)
 
     @pytest.mark.parametrize("n", range(4, 65))
     def test_eigenvalues_pairwise_separated(self, n):
