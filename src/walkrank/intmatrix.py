@@ -48,6 +48,8 @@ class IntMatrix:
         return cls(k, k, data)
 
     def row(self, i: int) -> tuple[int, ...]:
+        if not 0 <= i < self.rows:
+            raise IndexError(f"row {i} is out of range for a matrix of {self.rows} rows")
         return self._data[i * self.cols : (i + 1) * self.cols]
 
     def to_rows(self) -> list[list[int]]:

@@ -57,10 +57,7 @@ class EquitablePartition:
 
     @property
     def vertex_set(self) -> frozenset[int]:
-        out: set[int] = set()
-        for c in self.cells:
-            out |= c
-        return frozenset(out)
+        return frozenset().union(*self.cells)
 
 
 def canonical_partition(n: int) -> EquitablePartition:

@@ -79,7 +79,12 @@ class ScanRow:
 
 
 def conjectured_factors(n: int) -> tuple[int, ...]:
-    """Guessed invariant factors: floor(n/2) - 1 ones, then n-1 or (n-1)/2."""
+    """Guessed invariant factors: floor(n/2) - 1 ones, then n-1 or (n-1)/2.
+    An order that is not an int raises TypeError, and one below 4 ValueError."""
+    if type(n) is not int:
+        raise TypeError(f"order must be an int, got {n!r}")
+    if n < 4:
+        raise ValueError(f"order must be >= 4, got {n}")
     r = n // 2
     last = n - 1 if n % 2 == 0 else (n - 1) // 2
     return (1,) * (r - 1) + (last,)
@@ -149,11 +154,6 @@ class _Order:
         return self.timed("hat", hat_walk_matrix, self.w)
 
     @cached_property
-    def w_prime(self) -> IntMatrix:
-        """The trimmed walk matrix padded back to the size of W."""
-        return self.timed("snf_wprime", build_w_prime, self.hat)
-
-    @cached_property
     def wb(self) -> IntMatrix:
         """The walk matrix of the divisor matrix B."""
         return self.timed("hat", walk_matrix, self.b)
@@ -195,7 +195,7 @@ def _check_order(order: _Order, checks: Iterable[str]) -> ScanRow:
     if "snf-equiv" in checks:
         rep.snf_w = order.snf_w.invariant_factors
         rep.snf_wprime = order.timed(
-            "snf_wprime", smith_normal_form, order.w_prime, width=order.snf_width
+            "snf_wprime", smith_normal_form, order.hat, width=order.snf_width
         ).invariant_factors
         rep.integrally_equiv = rep.snf_w == rep.snf_wprime
         passed["snf-equiv"] = rep.integrally_equiv
@@ -233,16 +233,16 @@ def run_checks(n: int, checks: Iterable[str] = ALL_CHECKS) -> ScanRow:
 def verify(n: int) -> VerifyReport:
     """Full verification at one order.
 
-    Runs every check, then compares the ranks of W, the zero-padded W' and the
-    trimmed walk matrix, all built once by the checks. The walk matrix of the
-    quotient needs no rank of its own: the hat check has proved it equal to
-    the trim. Any violation of a proven identity raises VerificationError.
+    Runs every check, then compares the ranks of W, the zero-padded W' (built
+    only here) and the trimmed walk matrix. The walk matrix of the quotient
+    needs no rank of its own: the hat check has proved it equal to the trim.
+    Any violation of a proven identity raises VerificationError.
     """
     order = _Order(n)
     row = _check_order(order, ALL_CHECKS)
     rep = row.report
     rank_w = rep.rank_exact
-    rank_wprime = len(rep.snf_wprime or ())
+    rank_wprime = rank_fraction_free(build_w_prime(order.hat))
     rank_hat = rank_fraction_free(order.hat)
     if not rank_w == rank_wprime == rank_hat:
         raise VerificationError(

@@ -1,7 +1,4 @@
-"""Smith normal form over the integers.
-
-Depends only on `intmatrix`; the zero-padded W' it is applied to is built in
-`quotient`, next to the trimmed walk matrix it pads."""
+"""Smith normal form over the integers; depends only on `intmatrix`."""
 
 from __future__ import annotations
 
@@ -139,9 +136,9 @@ def smith_normal_form(m: IntMatrix, *, width: int | None = None) -> SnfResult:
     polynomial of 1 under A is monic with integer coefficients (Gauss's
     lemma), so the column A^r 1 with r = rank W, and each later one, is an
     integer combination of the columns before it. The same relations hold
-    on any subset of W's rows, so W's width also serves its padded trim W'.
-    A width that is not an int, a bool included, raises TypeError, and one
-    below 1 ValueError.
+    on any subset of W's rows, so W's width also serves its trim, and W'
+    (the trim plus zero rows and columns). A width that is not an int, a
+    bool included, raises TypeError, and one below 1 ValueError.
     """
     ncols = m.cols
     if width is not None:

@@ -184,7 +184,7 @@ def _implicit_ql(d: list[float], e: list[float], z: list[float]) -> None:
 
 def symmetric_eigen(
     m: IntMatrix | Sequence[Sequence[float]],
-) -> tuple[list[float], list[float]]:
+) -> tuple[list[float], list[float], tuple[list[float], list[float]]]:
     """Eigenvalues of a symmetric matrix and the all-ones vector's projections.
 
     Band reduction to tridiagonal form, then implicit-shift QL (Wilkinson &
@@ -194,8 +194,9 @@ def symmetric_eigen(
     order and z in the same order: z[i] is the dot product of the all-ones
     vector with the i-th vector of an orthonormal eigenbasis. Inside a
     repeated eigenvalue that basis is arbitrary, so only the norm of z over
-    the whole group is determined. Raises ConvergenceError when one eigenvalue
-    needs more than _MAX_QL_ITERATIONS QL steps.
+    the whole group is determined. Third comes the tridiagonal form (d, e)
+    taken before QL. Raises ConvergenceError when one eigenvalue needs more
+    than _MAX_QL_ITERATIONS QL steps.
     """
     a = _as_float_rows(m)
     k = len(a)
@@ -207,9 +208,10 @@ def symmetric_eigen(
             if abs(a[i][j] - a[j][i]) > _SYMMETRY_RTOL * scale:
                 raise ValueError(f"matrix is not symmetric at ({i}, {j})")
     d, e, z = _tridiagonal(a)
+    form = (d[:], e[:])
     _implicit_ql(d, e, z)
     order = sorted(range(k), key=d.__getitem__)
-    return [d[i] for i in order], [z[i] for i in order]
+    return [d[i] for i in order], [z[i] for i in order], form
 
 
 def _forest(g: Graph) -> tuple[list[int], list[int]] | None:
@@ -285,12 +287,12 @@ def count_main_eigenvalues(g: Graph) -> SpectrumReport:
     group each fail the check. The count is one LDL^T elimination on a
     weighted forest (_count_below): on the graph itself when it is a forest
     (route "tree", independent of the band reduction and of QL), and on the
-    tridiagonal form of A taken before QL, as a weighted path, otherwise
-    (route "sturm").
+    tridiagonal form of A that symmetric_eigen took before QL, as a weighted
+    path, otherwise (route "sturm").
     """
     k = g.order
     adj = adjacency_matrix(g)
-    values, z = symmetric_eigen(adj)
+    values, z, (tri_diag, tri_off) = symmetric_eigen(adj)
     delta = _GROUP_TOL / 4
     groups: list[tuple[float, int]] = []
     flags: list[bool] = []
@@ -313,8 +315,7 @@ def count_main_eigenvalues(g: Graph) -> SpectrumReport:
     else:
         # the tridiagonal form taken before QL, as a path rooted at k-1
         route, parent, order = "sturm", [*range(1, k), -1], range(k - 1, -1, -1)
-        diag, e, _ = _tridiagonal(_as_float_rows(adj))
-        w2 = [v * v for v in e]
+        diag, w2 = tri_diag, [v * v for v in tri_off]
     below = lambda x: _count_below(parent, order, diag, w2, x)
     return SpectrumReport(
         eigenvalues=tuple(values),
@@ -386,8 +387,10 @@ def eigenpair_residual(m: IntMatrix, pair: ClosedFormEigenpair) -> float:
 def main_value_pattern(n: int, k: int) -> int:
     """Exact dot product of the all-ones vector with the k-th closed-form eigenvector.
 
-    n-1 at k = 0, then 1 for even k and 0 for odd k.
+    n-1 at k = 0, then 1 for even k and 0 for odd k. A non-int n or k: TypeError.
     """
+    if type(n) is not int or type(k) is not int:
+        raise TypeError(f"order and k must be ints, got {n!r} and {k!r}")
     if n < 4:
         raise ValueError(f"order must be >= 4, got {n}")
     if not 0 <= k <= n - 2:

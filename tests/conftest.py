@@ -9,8 +9,8 @@ def misplaced_eigenvalue(monkeypatch):
     solve = spectra.symmetric_eigen
 
     def moved(m):
-        values, z = solve(m)
-        return values[1:] + [values[-1] + 1.0], z[1:] + z[:1]
+        values, z, form = solve(m)
+        return values[1:] + [values[-1] + 1.0], z[1:] + z[:1], form
 
     monkeypatch.setattr(spectra, "symmetric_eigen", moved)
 
@@ -23,10 +23,10 @@ def split_eigenvalue(monkeypatch):
     solve = spectra.symmetric_eigen
 
     def split(m):
-        values, z = solve(m)
+        values, z, form = solve(m)
         i = next(i for i in range(len(values) - 1) if values[i + 1] - values[i] <= spectra._GROUP_TOL)
         values[i] -= 5e-8
-        return values, z
+        return values, z, form
 
     monkeypatch.setattr(spectra, "symmetric_eigen", split)
 
@@ -39,9 +39,9 @@ def in_gap_eigenvalue(monkeypatch):
     solve = spectra.symmetric_eigen
 
     def moved(m):
-        values, z = solve(m)
+        values, z, form = solve(m)
         values[-1] += 0.5 * (values[-1] - values[-2])
-        return values, z
+        return values, z, form
 
     monkeypatch.setattr(spectra, "symmetric_eigen", moved)
 
@@ -54,8 +54,8 @@ def merged_eigenvalues(monkeypatch):
     solve = spectra.symmetric_eigen
 
     def merged(m):
-        values, z = solve(m)
+        values, z, form = solve(m)
         values[-1] = values[-2] + 0.5 * spectra._GROUP_TOL
-        return values, z
+        return values, z, form
 
     monkeypatch.setattr(spectra, "symmetric_eigen", merged)

@@ -99,6 +99,12 @@ class TestIntMatrix:
         m = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
         assert m.row(0) == (1, 2, 3)
 
+    @pytest.mark.parametrize("i", [-1, 2, 5])
+    def test_row_out_of_range(self, i):
+        m = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
+        with pytest.raises(IndexError, match=rf"row {i} is out of range for a matrix of 2 rows"):
+            m.row(i)
+
     def test_matmul(self):
         a = IntMatrix.from_rows([[1, 2], [3, 4]])
         assert (a @ IntMatrix.identity(2)) == a

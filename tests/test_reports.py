@@ -84,7 +84,22 @@ class TestVerify:
         monkeypatch.setattr(reports, "rank_fraction_free", spy)
         verify(12)
         w = walk_matrix(adjacency_matrix(make_extended_dynkin(12)))
-        assert ranked == [w, hat_walk_matrix(w)]
+        assert ranked == [w, build_w_prime(hat_walk_matrix(w)), hat_walk_matrix(w)]
+
+    def test_only_verify_builds_w_prime(self, monkeypatch):
+        built = []
+
+        def spy(hat):
+            built.append(hat)
+            return build_w_prime(hat)
+
+        monkeypatch.setattr(reports, "build_w_prime", spy)
+        run_checks(12, ("snf-equiv",))
+        run_checks(12, ALL_CHECKS)
+        assert built == []
+        verify(12)
+        w = walk_matrix(adjacency_matrix(make_extended_dynkin(12)))
+        assert built == [hat_walk_matrix(w)]
 
     def test_failed_check_raises(self, monkeypatch):
         monkeypatch.setattr(reports, "eigenpair_residual", lambda b, pair: 1.0)
@@ -108,10 +123,11 @@ class TestVerify:
         n = 12
         run_checks(n, checks)
         w = walk_matrix(adjacency_matrix(make_extended_dynkin(n)))
-        # W' has as many distinct rows as W here, so only the count's input shows
-        # that W' is cut at W's width, as the proof needs, and not at its own
+        # SNF(W') is taken from the trim, which has as many distinct rows as W
+        # here, so only the count's input shows that W' is cut at W's width, as
+        # the proof needs, and not at its own
         assert counted == [w]
-        assert seen == [(w, n // 2), (build_w_prime(hat_walk_matrix(w)), n // 2)]
+        assert seen == [(w, n // 2), (hat_walk_matrix(w), n // 2)]
 
 
 class TestConjectureCheck:
@@ -145,6 +161,16 @@ class TestConjecturedFactors:
     def test_odd(self):
         assert conjectured_factors(5) == (1, 2)
         assert conjectured_factors(11) == (1, 1, 1, 1, 5)
+
+    @pytest.mark.parametrize("n", [True, 8.0, "8", None])
+    def test_rejects_an_order_that_is_not_an_int(self, n):
+        with pytest.raises(TypeError, match=f"order must be an int, got {n!r}"):
+            conjectured_factors(n)
+
+    @pytest.mark.parametrize("n", [3, 1, 0, -4])
+    def test_rejects_an_order_below_four(self, n):
+        with pytest.raises(ValueError, match=f"order must be >= 4, got {n}"):
+            conjectured_factors(n)
 
 
 class TestRunChecks:

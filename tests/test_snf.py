@@ -193,6 +193,21 @@ class TestWidth:
                 assert cut.dims == (m.rows, m.cols)
                 assert rank_via_snf(m, width=width) == cut.rank
 
+    @pytest.mark.parametrize(
+        "family, first",
+        [(make_path, 5), (make_dynkin, 5), (make_extended_dynkin, 4)],
+        ids=["path", "dynkin", "ext-dynkin"],
+    )
+    def test_w_prime_has_the_factors_of_its_trim(self, family, first):
+        # W' is the trim plus zero rows and two zero last columns; the widths
+        # n and n+1 reach those columns, W's own width stops before them
+        for n in range(first, 61):
+            w = walk_matrix(adjacency_matrix(family(n)))
+            hat = hat_walk_matrix(w)
+            for width in (count_distinct_nonzero_rows(w), n, n + 1):
+                got = smith_normal_form(build_w_prime(hat), width=width).invariant_factors
+                assert got == smith_normal_form(hat, width=width).invariant_factors, (n, width)
+
     @pytest.mark.parametrize("n", [*range(4, 41), 200])
     def test_ext_dynkin_width_is_the_rank(self, n):
         w = walk_matrix(adjacency_matrix(make_extended_dynkin(n)))

@@ -89,11 +89,11 @@ _NON_FINITE_VALUES = [
 
 class TestSymmetricEigen:
     def test_swap_matrix(self):
-        values, _ = symmetric_eigen([[0.0, 1.0], [1.0, 0.0]])
+        values, _, _ = symmetric_eigen([[0.0, 1.0], [1.0, 0.0]])
         assert values == pytest.approx([-1.0, 1.0], abs=1e-12)
 
     def test_diagonal(self):
-        values, _ = symmetric_eigen([[3.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
+        values, _, _ = symmetric_eigen([[3.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
         assert values == pytest.approx([1.0, 2.0, 3.0], abs=1e-12)
 
     @pytest.mark.parametrize("n", [4, 6, 9, 16, 25])
@@ -106,7 +106,7 @@ class TestSymmetricEigen:
         perron = [1, 1] + [2] * (n - 3) + [1, 1]
         for i in range(g.order):
             assert sum(adj[i][j] * perron[j] for j in range(g.order)) == 2 * perron[i]
-        values, _ = symmetric_eigen(adj)
+        values, _, _ = symmetric_eigen(adj)
         assert values[-1] == pytest.approx(2.0, abs=1e-9)
 
     def test_residuals_small(self):
@@ -117,7 +117,7 @@ class TestSymmetricEigen:
         for i in range(k):
             for j in range(i, k):
                 m[i][j] = m[j][i] = rng.uniform(-3, 3)
-        values, z = symmetric_eigen(m)
+        values, z, _ = symmetric_eigen(m)
         v = [1.0] * k
         for power in range(k):
             got = sum(lam**power * x * x for lam, x in zip(values, z))
@@ -126,7 +126,7 @@ class TestSymmetricEigen:
 
     def test_vectors_orthonormal(self):
         # unit eigenvectors (1, -r, 1)/2, (1, 0, -1)/r and (1, r, 1)/2 with r = sqrt(2)
-        values, z = symmetric_eigen([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
+        values, z, _ = symmetric_eigen([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
         r = math.sqrt(2.0)
         assert values == pytest.approx([2.0 - r, 2.0, 2.0 + r], abs=1e-12)
         assert [abs(x) for x in z] == pytest.approx([1.0 - r / 2, 0.0, 1.0 + r / 2], abs=1e-12)
@@ -137,7 +137,7 @@ class TestSymmetricEigen:
         with pytest.raises(ArithmeticError, match="eigenvalue 0 .* within 0 iterations"):
             symmetric_eigen([[2.0, 1.0], [1.0, 2.0]])
         # a diagonal matrix is already converged and needs no QL step
-        values, z = symmetric_eigen([[3.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 3.0]])
+        values, z, _ = symmetric_eigen([[3.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 3.0]])
         assert values == [1.0, 3.0, 3.0]
         assert z == [1.0, 1.0, 1.0]
 
@@ -145,10 +145,10 @@ class TestSymmetricEigen:
     def test_capped_solver_raises_or_converges(self, monkeypatch, cap):
         # stopping the iteration early must raise, never return unconverged values
         m = [[2.0, 1.0, 0.0, 0.5], [1.0, 2.0, 1.0, 0.0], [0.0, 1.0, 2.0, 1.0], [0.5, 0.0, 1.0, 2.0]]
-        want, _ = symmetric_eigen(m)
+        want, _, _ = symmetric_eigen(m)
         monkeypatch.setattr(spectra, "_MAX_QL_ITERATIONS", cap)
         try:
-            values, _ = symmetric_eigen(m)
+            values, _, _ = symmetric_eigen(m)
         except spectra.ConvergenceError:
             return
         assert values == pytest.approx(want, abs=1e-13)
@@ -175,6 +175,17 @@ class TestSymmetricEigen:
     def test_rejects_entries_that_are_not_numbers(self, m, where):
         with pytest.raises(TypeError, match=f"entry {re.escape(where)} must be an int or a float"):
             symmetric_eigen(m)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_returns_the_tridiagonal_form_taken_before_ql(self, seed):
+        rng = random.Random(seed)
+        k = rng.randint(3, 12)
+        m = [[0.0] * k for _ in range(k)]
+        for i in range(k):
+            for j in range(i + 1):
+                m[i][j] = m[j][i] = rng.choice((0.0, rng.uniform(-3.0, 3.0)))
+        d, e, _ = spectra._tridiagonal([row[:] for row in m])
+        assert symmetric_eigen(m)[2] == (d, e)
 
 
 class TestCountMainEigenvalues:
@@ -207,7 +218,7 @@ class TestCountMainEigenvalues:
     def test_residual_is_the_dense_formula(self, g):
         # column m of the exact walk matrix sums to 1^T A^m 1 = sum_i lambda_i^m z_i^2
         adj = adjacency_matrix(g)
-        values, z = symmetric_eigen(adj)
+        values, z, _ = symmetric_eigen(adj)
         w = walk_matrix(adj)
         for power in range(min(g.order, 8)):
             walks = sum(r[power] for r in w.to_rows())
@@ -290,6 +301,28 @@ class TestInertia:
             x = (lo + hi) / 2
             assert tree_count_below(make_path(k), x) == path_count_below(d, e, x) == below
 
+    @pytest.mark.parametrize(
+        "g,route",
+        [
+            (make_extended_dynkin(8), "tree"),
+            (_complete_graph(5), "sturm"),
+            (Graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)]), "sturm"),
+        ],
+        ids=["D8", "K5", "C5"],
+    )
+    def test_one_band_reduction_per_count(self, monkeypatch, g, route):
+        calls = []
+        reduce = spectra._tridiagonal
+
+        def spy(a):
+            calls.append(len(a))
+            return reduce(a)
+
+        monkeypatch.setattr(spectra, "_tridiagonal", spy)
+        report = count_main_eigenvalues(g)
+        assert report.inertia_route == route and report.inertia_ok
+        assert calls == [g.order]
+
     @pytest.mark.parametrize("g", [make_extended_dynkin(8), _complete_graph(5)], ids=["tree", "sturm"])
     def test_a_moved_eigenvalue_fails_the_check(self, misplaced_eigenvalue, g):
         assert not count_main_eigenvalues(g).inertia_ok
@@ -336,7 +369,7 @@ class TestMetamorphic:
         rng = random.Random(100 + n)
         g = make_extended_dynkin(n)
         for h in (g, _relabelled(g, rng), _complete_graph(n)):
-            _, z = symmetric_eigen(adjacency_matrix(h))
+            _, z, _ = symmetric_eigen(adjacency_matrix(h))
             assert abs(sum(x * x for x in z) - h.order) <= 1e-12 * h.order
 
 
@@ -438,6 +471,11 @@ class TestMainValuePattern:
         with pytest.raises(ValueError):
             main_value_pattern(3, 0)
 
+    @pytest.mark.parametrize("n,k", [(8, 2.0), (8, True), (8.0, 2), (True, 0), ("8", 2)])
+    def test_rejects_arguments_that_are_not_ints(self, n, k):
+        with pytest.raises(TypeError, match=re.escape(f"order and k must be ints, got {n!r} and {k!r}")):
+            main_value_pattern(n, k)
+
 
 class TestCosineSum:
     def test_quarter_turn(self):
@@ -498,7 +536,7 @@ class TestDetWalkSpectral:
             for i in range(k):
                 for j in range(i, k):
                     entries[i][j] = entries[j][i] = rng.randint(-4, 4)
-            values, _ = symmetric_eigen(entries)
+            values, _, _ = symmetric_eigen(entries)
             gaps = [b - a for a, b in zip(values, values[1:])]
             if gaps and min(gaps) < 1e-6:
                 continue

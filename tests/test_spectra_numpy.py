@@ -65,7 +65,7 @@ def _group_norms(values, z, tol):
 
 def _check_against_eigvalsh(m):
     a = np.array(m)
-    values, z = symmetric_eigen(m)
+    values, z, _ = symmetric_eigen(m)
     tol = 1e-10 * max(1.0, np.linalg.norm(a, 2))
     assert np.max(np.abs(np.array(values) - np.linalg.eigvalsh(a))) <= tol
     # single z_i depend on the basis chosen inside a repeated eigenvalue; the
