@@ -54,6 +54,14 @@ class Graph:
         return nbrs
 
 
+def check_family_order(n: int) -> None:
+    """TypeError unless n is an int, a bool excluded, and ValueError unless n >= 4."""
+    if type(n) is not int:
+        raise TypeError(f"order must be an int, got {n!r}")
+    if n < 4:
+        raise ValueError(f"order must be >= 4, got {n}")
+
+
 def make_path(n: int) -> Graph:
     """Path 1-2-...-n."""
     if n < 1:
@@ -67,8 +75,7 @@ def make_dynkin(n: int) -> Graph:
     Vertices 1 and 2 are the two leaves attached to vertex 3; vertex 3 is the
     unique vertex of degree 3.
     """
-    if n < 4:
-        raise ValueError(f"order must be >= 4 for this family, got {n}")
+    check_family_order(n)
     edges = {(1, 3)} | {(i, i + 1) for i in range(2, n)}
     return Graph(n, frozenset(edges))
 
@@ -79,8 +86,7 @@ def make_extended_dynkin(n: int) -> Graph:
     The spine is 3-4-...-(n-1); for n = 4 the spine is the single vertex 3 and
     the result is the star on five vertices.
     """
-    if n < 4:
-        raise ValueError(f"order must be >= 4 for this family, got {n}")
+    check_family_order(n)
     edges = {(1, 3), (2, 3), (n - 1, n), (n - 1, n + 1)}
     edges |= {(i, i + 1) for i in range(3, n - 1)}
     return Graph(n + 1, frozenset(edges))

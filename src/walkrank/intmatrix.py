@@ -48,6 +48,8 @@ class IntMatrix:
         return cls(k, k, data)
 
     def row(self, i: int) -> tuple[int, ...]:
+        if type(i) is not int:
+            raise TypeError(f"row index must be an int, got {i!r}")
         if not 0 <= i < self.rows:
             raise IndexError(f"row {i} is out of range for a matrix of {self.rows} rows")
         return self._data[i * self.cols : (i + 1) * self.cols]

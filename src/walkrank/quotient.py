@@ -6,7 +6,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .graphs import Graph
+from .graphs import Graph, check_family_order
 from .intmatrix import IntMatrix
 
 
@@ -61,9 +61,9 @@ class EquitablePartition:
 
 
 def canonical_partition(n: int) -> EquitablePartition:
-    """Cells {1,2}, {3}, ..., {n-1}, {n, n+1}: leaf pairs merged, spine singletons."""
-    if n < 4:
-        raise ValueError(f"order must be >= 4, got {n}")
+    """Cells {1,2}, {3}, ..., {n-1}, {n, n+1}: leaf pairs merged, spine singletons.
+    n as in check_family_order."""
+    check_family_order(n)
     cells = [frozenset({1, 2})]
     cells.extend(frozenset({v}) for v in range(3, n))
     cells.append(frozenset({n, n + 1}))

@@ -15,7 +15,7 @@ from itertools import repeat
 from types import NoneType, UnionType
 from typing import Iterable, Sequence, get_args, get_origin, get_type_hints
 
-from .graphs import Graph, adjacency_matrix, make_extended_dynkin
+from .graphs import Graph, adjacency_matrix, check_family_order, make_extended_dynkin
 from .intmatrix import IntMatrix, rank_fraction_free, walk_matrix
 from .quotient import (
     EquitablePartition,
@@ -81,10 +81,7 @@ class ScanRow:
 def conjectured_factors(n: int) -> tuple[int, ...]:
     """Guessed invariant factors: floor(n/2) - 1 ones, then n-1 or (n-1)/2.
     An order that is not an int raises TypeError, and one below 4 ValueError."""
-    if type(n) is not int:
-        raise TypeError(f"order must be an int, got {n!r}")
-    if n < 4:
-        raise ValueError(f"order must be >= 4, got {n}")
+    check_family_order(n)
     r = n // 2
     last = n - 1 if n % 2 == 0 else (n - 1) // 2
     return (1,) * (r - 1) + (last,)
@@ -111,7 +108,7 @@ class _Order:
     """
 
     def __init__(self, n: int):
-        self.partition = canonical_partition(n)  # rejects n < 4
+        self.partition = canonical_partition(n)  # rejects an n that is not an int >= 4
         self.n = n
         self.timings: dict[str, float] = {}
 
@@ -276,8 +273,12 @@ def scan(
     """Run the selected checks for every n in [from_n, to_n].
 
     Uses min(jobs, CPU count, number of orders) processes. Rows come back
-    sorted by n regardless of how many workers ran them.
+    sorted by n regardless of how many workers ran them. An order that is
+    not an int, a bool included, raises TypeError.
     """
+    for n in (from_n, to_n):
+        if type(n) is not int:
+            raise TypeError(f"order must be an int, got {n!r}")
     if from_n < 4 or to_n < from_n:
         raise ValueError(f"scan range must satisfy 4 <= from <= to, got {from_n}..{to_n}")
     checks = _validate_checks(checks)

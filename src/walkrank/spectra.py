@@ -4,7 +4,10 @@ all-ones vector Q^T 1 and forming no eigenvectors), main-eigenvalue counting
 with an inertia check of its eigenvalue groups (one LDL^T count on a weighted
 forest: the graph itself when it is a forest, the tridiagonal form as a path
 otherwise), closed-form eigenpairs of the transposed divisor matrix, and the
-spectral determinant formula for walk matrices."""
+spectral determinant formula for walk matrices.
+
+Every matrix enters as an IntMatrix, and anything else raises TypeError; the
+integers are checked exactly before any of them becomes a float."""
 
 from __future__ import annotations
 
@@ -13,10 +16,9 @@ import sys
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graphs import Graph, adjacency_matrix
+from .graphs import Graph, adjacency_matrix, check_family_order
 from .intmatrix import IntMatrix, row_support
 
-_SYMMETRY_RTOL = 1e-12
 _EPS = 2.0**-52
 _MAX_QL_ITERATIONS = 30  # QL steps per eigenvalue, EISPACK's cap; about two are typical
 _GROUP_TOL = 1e-8  # eigenvalues this close share a group
@@ -47,24 +49,13 @@ class ClosedFormEigenpair:
     vector: tuple[float, ...]
 
 
-def _as_float_rows(m: IntMatrix | Sequence[Sequence[float]]) -> list[list[float]]:
-    if isinstance(m, IntMatrix):
-        # float() of an int is finite or raises OverflowError
-        rows = [[float(x) for x in m.row(i)] for i in range(m.rows)]
-    else:
-        rows = [list(r) for r in m]
-        for i, r in enumerate(rows):
-            for j, x in enumerate(r):
-                # float() would read '2' as 2.0 and True as 1.0
-                if type(x) not in (int, float):
-                    raise TypeError(f"matrix entry ({i}, {j}) must be an int or a float, got {x!r}")
-                r[j] = x = float(x)
-                if not math.isfinite(x):
-                    raise ValueError(f"matrix entry ({i}, {j}) is not finite: {x}")
-    k = len(rows)
-    if any(len(r) != k for r in rows):
-        raise ValueError("matrix must be square")
-    return rows
+def _square(m: IntMatrix) -> int:
+    """The order of m: TypeError unless m is an IntMatrix, ValueError unless it is square."""
+    if not isinstance(m, IntMatrix):
+        raise TypeError(f"matrix must be an IntMatrix, got {type(m).__name__}")
+    if m.rows != m.cols:
+        raise ValueError(f"matrix must be square, got {m.rows}x{m.cols}")
+    return m.rows
 
 
 def _rotate(a: list[list[float]], z: list[float], p: int, col: int, b: int) -> None:
@@ -182,9 +173,7 @@ def _implicit_ql(d: list[float], e: list[float], z: list[float]) -> None:
         e[l] = 0.0
 
 
-def symmetric_eigen(
-    m: IntMatrix | Sequence[Sequence[float]],
-) -> tuple[list[float], list[float], tuple[list[float], list[float]]]:
+def symmetric_eigen(m: IntMatrix) -> tuple[list[float], list[float], tuple[list[float], list[float]]]:
     """Eigenvalues of a symmetric matrix and the all-ones vector's projections.
 
     Band reduction to tridiagonal form, then implicit-shift QL (Wilkinson &
@@ -196,18 +185,18 @@ def symmetric_eigen(
     repeated eigenvalue that basis is arbitrary, so only the norm of z over
     the whole group is determined. Third comes the tridiagonal form (d, e)
     taken before QL. Raises ConvergenceError when one eigenvalue needs more
-    than _MAX_QL_ITERATIONS QL steps.
+    than _MAX_QL_ITERATIONS QL steps. m must be a square IntMatrix (TypeError,
+    ValueError otherwise) and symmetric (ValueError otherwise), checked on
+    its integers before any becomes a float: two entries that round to the
+    same float still differ.
     """
-    a = _as_float_rows(m)
-    k = len(a)
-    if k == 0:
-        raise ValueError("matrix must be non-empty")
-    scale = max(1.0, max(abs(x) for row in a for x in row))
-    for i in range(k):
-        for j in range(i + 1, k):
-            if abs(a[i][j] - a[j][i]) > _SYMMETRY_RTOL * scale:
-                raise ValueError(f"matrix is not symmetric at ({i}, {j})")
-    d, e, z = _tridiagonal(a)
+    k = _square(m)
+    rows = list(map(m.row, range(k)))
+    if rows != list(zip(*rows)):
+        i, j = next((i, j) for i in range(k) for j in range(i + 1, k) if rows[i][j] != rows[j][i])
+        raise ValueError(f"matrix is not symmetric at ({i}, {j})")
+    # float() of an int is finite or raises OverflowError
+    d, e, z = _tridiagonal([[float(x) for x in row] for row in rows])
     form = (d[:], e[:])
     _implicit_ql(d, e, z)
     order = sorted(range(k), key=d.__getitem__)
@@ -331,10 +320,10 @@ def divisor_eigenpairs(n: int) -> list[ClosedFormEigenpair]:
     """All n-1 closed-form eigenpairs of the transposed divisor matrix.
 
     Index k below n-2 pairs 2 cos(k pi / (n-2)) with a sampled-cosine vector;
-    the final index pairs -2 with the alternating sign vector.
+    the final index pairs -2 with the alternating sign vector. n as in
+    check_family_order.
     """
-    if n < 4:
-        raise ValueError(f"order must be >= 4, got {n}")
+    check_family_order(n)
     denom = n - 2
     pairs = []
     for k in range(denom):
@@ -366,10 +355,11 @@ def _check_finite_pair(name: str, eigenvalue: float, vector: Sequence[float]) ->
 def eigenpair_residual(m: IntMatrix, pair: ClosedFormEigenpair) -> float:
     """Max-norm of (m^T v - lambda v) for one claimed eigenpair of m^T.
 
-    A NaN or infinite eigenvalue or vector entry raises ValueError, and one
-    that is not an int or a float (a bool included) TypeError.
+    m must be a square IntMatrix (TypeError, ValueError otherwise). A NaN
+    or infinite eigenvalue or vector entry raises ValueError, and one that is
+    not an int or a float (a bool included) TypeError.
     """
-    if m.rows != m.cols or m.rows != len(pair.vector):
+    if _square(m) != len(pair.vector):
         raise ValueError("matrix and eigenvector sizes disagree")
     # max(0.0, nan) is 0.0, so a NaN would read as a perfect residual
     _check_finite_pair(f"k={pair.k}", pair.eigenvalue, pair.vector)
@@ -433,20 +423,18 @@ def _float_det(rows: list[list[float]]) -> float:
     return det
 
 
-def det_walk_spectral(
-    m: IntMatrix | Sequence[Sequence[float]],
-    pairs: Sequence[ClosedFormEigenpair],
-) -> float:
+def det_walk_spectral(m: IntMatrix, pairs: Sequence[ClosedFormEigenpair]) -> float:
     """Determinant of the walk matrix of m, evaluated from eigenpairs of m^T.
 
     Product of all eigenvalue differences times the product of the all-ones
-    projections, divided by the determinant of the eigenvector matrix. The
+    projections, divided by the determinant of the eigenvector matrix. Only
+    the order of m is read, so the pairs are trusted to be eigenpairs of m^T;
+    m must be a square IntMatrix (TypeError, ValueError otherwise). The
     eigenvectors must be numerically independent, and every eigenvalue and
     vector entry finite (ValueError otherwise) and an int or a float, not a
     bool (TypeError otherwise).
     """
-    rows = _as_float_rows(m)
-    k = len(rows)
+    k = _square(m)
     if len(pairs) != k:
         raise ValueError(f"need {k} eigenpairs, got {len(pairs)}")
     for index, pair in enumerate(pairs):

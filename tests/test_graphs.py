@@ -79,6 +79,13 @@ def test_family_rejects_small_order(maker):
         maker(3)
 
 
+@pytest.mark.parametrize("maker", [make_dynkin, make_extended_dynkin])
+@pytest.mark.parametrize("n", [True, 6.0, "6", None], ids=repr)
+def test_family_rejects_an_order_that_is_not_an_int(maker, n):
+    with pytest.raises(TypeError, match=f"order must be an int, got {n!r}"):
+        maker(n)
+
+
 def test_from_edge_list_path():
     assert Graph(3, [(1, 2), (2, 3)]) == make_path(3)
 

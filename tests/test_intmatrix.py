@@ -1,4 +1,5 @@
 import random
+import re
 from enum import IntEnum
 
 import pytest
@@ -103,6 +104,14 @@ class TestIntMatrix:
     def test_row_out_of_range(self, i):
         m = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
         with pytest.raises(IndexError, match=rf"row {i} is out of range for a matrix of 2 rows"):
+            m.row(i)
+
+    # True read as row 1, and 1.0 failed in slicing without naming the index;
+    # 5.0 is out of range too, and the type is checked first
+    @pytest.mark.parametrize("i", [True, False, 1.0, 5.0, "1", None], ids=repr)
+    def test_row_index_must_be_an_int(self, i):
+        m = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
+        with pytest.raises(TypeError, match=re.escape(f"row index must be an int, got {i!r}")):
             m.row(i)
 
     def test_matmul(self):

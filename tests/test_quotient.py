@@ -87,6 +87,12 @@ class TestCanonicalPartition:
         with pytest.raises(ValueError):
             canonical_partition(3)
 
+    # 6.0 failed in range() without naming the order, and True as "order >= 4"
+    @pytest.mark.parametrize("n", [True, 6.0, "6", None], ids=repr)
+    def test_rejects_an_order_that_is_not_an_int(self, n):
+        with pytest.raises(TypeError, match=f"order must be an int, got {n!r}"):
+            canonical_partition(n)
+
 
 class TestIsEquitable:
     """Equitability as divisor_matrix checks it: it returns B exactly when the

@@ -67,6 +67,12 @@ class TestVerify:
         with pytest.raises(ValueError):
             verify(3)
 
+    @pytest.mark.parametrize("n", [True, 6.0])
+    def test_rejects_an_order_that_is_not_an_int(self, n):
+        for check in (verify, lambda n: run_checks(n, ALL_CHECKS)):
+            with pytest.raises(TypeError, match=f"order must be an int, got {n!r}"):
+                check(n)
+
 
     def test_broken_rank_chain_raises(self, monkeypatch):
         monkeypatch.setattr(reports, "rank_fraction_free", lambda m: 0)
@@ -313,6 +319,15 @@ class TestScan:
             scan(3, 10)
         with pytest.raises(ValueError):
             scan(10, 4)
+
+    # (4, 6.0) failed in range() without naming the order, and a bool failed
+    # the range check as a number
+    @pytest.mark.parametrize(
+        "from_n, to_n, bad", [(4, 6.0, 6.0), (4.0, 6, 4.0), (True, 6, True), (4, True, True), ("4", 6, "4")]
+    )
+    def test_rejects_orders_that_are_not_ints(self, from_n, to_n, bad):
+        with pytest.raises(TypeError, match=f"order must be an int, got {bad!r}"):
+            scan(from_n, to_n)
 
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_rejects_jobs_below_one(self, jobs):

@@ -59,19 +59,25 @@ def _dense_residual(m, pair):
     return want
 
 
+# rows holding NaN or an infinity, and rows holding strings or bools that
+# float() would read: a matrix enters the float routes only as an IntMatrix,
+# so each is refused whole, by its type, before any entry is read
 _NON_FINITE = [
-    pytest.param([[0.0, math.nan], [math.nan, 0.0]], "(0, 1)", id="nan-off-diagonal"),
-    pytest.param([[math.inf, 1.0], [1.0, 0.0]], "(0, 0)", id="inf"),
-    pytest.param([[0.0, 1.0], [1.0, -math.inf]], "(1, 1)", id="minus-inf"),
-    pytest.param([[math.nan]], "(0, 0)", id="nan-1x1"),
+    pytest.param([[0.0, math.nan], [math.nan, 0.0]], id="nan-off-diagonal"),
+    pytest.param([[math.inf, 1.0], [1.0, 0.0]], id="inf"),
+    pytest.param([[0.0, 1.0], [1.0, -math.inf]], id="minus-inf"),
+    pytest.param([[math.nan]], id="nan-1x1"),
 ]
 
-# float() reads both of these as numbers, so they must be refused by type
 _NON_NUMBERS = [
-    pytest.param([["2", "1"], ["1", "2"]], "(0, 0)", id="string"),
-    pytest.param([[True, False], [False, True]], "(0, 0)", id="bool"),
-    pytest.param([[2.0, 1.0], [1.0, "2"]], "(1, 1)", id="string-last"),
+    pytest.param([["2", "1"], ["1", "2"]], id="string"),
+    pytest.param([[True, False], [False, True]], id="bool"),
+    pytest.param([[2.0, 1.0], [1.0, "2"]], id="string-last"),
 ]
+
+_NOT_AN_INTMATRIX = "matrix must be an IntMatrix, got list"
+
+_DIAG_1_2 = IntMatrix.from_rows([[1, 0], [0, 2]])
 
 # math.isfinite reads True as 1.0, and raises on '1' without naming the pair
 _NON_REALS = [
@@ -89,11 +95,11 @@ _NON_FINITE_VALUES = [
 
 class TestSymmetricEigen:
     def test_swap_matrix(self):
-        values, _, _ = symmetric_eigen([[0.0, 1.0], [1.0, 0.0]])
+        values, _, _ = symmetric_eigen(IntMatrix.from_rows([[0, 1], [1, 0]]))
         assert values == pytest.approx([-1.0, 1.0], abs=1e-12)
 
     def test_diagonal(self):
-        values, _, _ = symmetric_eigen([[3.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
+        values, _, _ = symmetric_eigen(IntMatrix.from_rows([[3, 0, 0], [0, 1, 0], [0, 0, 2]]))
         assert values == pytest.approx([1.0, 2.0, 3.0], abs=1e-12)
 
     @pytest.mark.parametrize("n", [4, 6, 9, 16, 25])
@@ -106,19 +112,19 @@ class TestSymmetricEigen:
         perron = [1, 1] + [2] * (n - 3) + [1, 1]
         for i in range(g.order):
             assert sum(adj[i][j] * perron[j] for j in range(g.order)) == 2 * perron[i]
-        values, _, _ = symmetric_eigen(adj)
+        values, _, _ = symmetric_eigen(IntMatrix.from_rows(adj))
         assert values[-1] == pytest.approx(2.0, abs=1e-9)
 
     def test_residuals_small(self):
         # 1^T A^m 1 = sum_i lambda_i^m z_i^2 for every power m
         rng = random.Random(11)
         k = 8
-        m = [[0.0] * k for _ in range(k)]
+        m = [[0] * k for _ in range(k)]
         for i in range(k):
             for j in range(i, k):
-                m[i][j] = m[j][i] = rng.uniform(-3, 3)
-        values, z, _ = symmetric_eigen(m)
-        v = [1.0] * k
+                m[i][j] = m[j][i] = rng.randint(-5, 5)
+        values, z, _ = symmetric_eigen(IntMatrix.from_rows(m))
+        v = [1] * k
         for power in range(k):
             got = sum(lam**power * x * x for lam, x in zip(values, z))
             assert abs(got - sum(v)) < 1e-9 * max(1.0, sum(map(abs, v)))
@@ -126,7 +132,7 @@ class TestSymmetricEigen:
 
     def test_vectors_orthonormal(self):
         # unit eigenvectors (1, -r, 1)/2, (1, 0, -1)/r and (1, r, 1)/2 with r = sqrt(2)
-        values, z, _ = symmetric_eigen([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
+        values, z, _ = symmetric_eigen(IntMatrix.from_rows([[2, 1, 0], [1, 2, 1], [0, 1, 2]]))
         r = math.sqrt(2.0)
         assert values == pytest.approx([2.0 - r, 2.0, 2.0 + r], abs=1e-12)
         assert [abs(x) for x in z] == pytest.approx([1.0 - r / 2, 0.0, 1.0 + r / 2], abs=1e-12)
@@ -135,16 +141,16 @@ class TestSymmetricEigen:
     def test_iteration_cap(self, monkeypatch):
         monkeypatch.setattr(spectra, "_MAX_QL_ITERATIONS", 0)
         with pytest.raises(ArithmeticError, match="eigenvalue 0 .* within 0 iterations"):
-            symmetric_eigen([[2.0, 1.0], [1.0, 2.0]])
+            symmetric_eigen(IntMatrix.from_rows([[2, 1], [1, 2]]))
         # a diagonal matrix is already converged and needs no QL step
-        values, z, _ = symmetric_eigen([[3.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 3.0]])
+        values, z, _ = symmetric_eigen(IntMatrix.from_rows([[3, 0, 0], [0, 1, 0], [0, 0, 3]]))
         assert values == [1.0, 3.0, 3.0]
         assert z == [1.0, 1.0, 1.0]
 
     @pytest.mark.parametrize("cap", range(6))
     def test_capped_solver_raises_or_converges(self, monkeypatch, cap):
         # stopping the iteration early must raise, never return unconverged values
-        m = [[2.0, 1.0, 0.0, 0.5], [1.0, 2.0, 1.0, 0.0], [0.0, 1.0, 2.0, 1.0], [0.5, 0.0, 1.0, 2.0]]
+        m = IntMatrix.from_rows([[4, 2, 0, 1], [2, 4, 2, 0], [0, 2, 4, 2], [1, 0, 2, 4]])
         want, _, _ = symmetric_eigen(m)
         monkeypatch.setattr(spectra, "_MAX_QL_ITERATIONS", cap)
         try:
@@ -154,38 +160,49 @@ class TestSymmetricEigen:
         assert values == pytest.approx(want, abs=1e-13)
 
     def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            symmetric_eigen([[0.0, 1.0], [0.5, 0.0]])
+        with pytest.raises(ValueError, match=re.escape("not symmetric at (0, 1)")):
+            symmetric_eigen(IntMatrix.from_rows([[0, 2], [1, 0]]))
+
+    def test_rejects_asymmetry_that_floats_would_hide(self):
+        # 2**60 and 2**60 + 1 round to the same float
+        big = 2**60
+        assert float(big) == float(big + 1)
+        m = IntMatrix.from_rows([[0, big], [big + 1, 0]])
+        with pytest.raises(ValueError, match=re.escape("not symmetric at (0, 1)")):
+            symmetric_eigen(m)
+
+    def test_rejects_a_matrix_that_is_not_square(self):
+        with pytest.raises(ValueError, match="matrix must be square, got 2x3"):
+            symmetric_eigen(IntMatrix.from_rows([[0, 1, 0], [1, 0, 0]]))
 
     def test_rejects_ragged(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError, match=_NOT_AN_INTMATRIX):
             symmetric_eigen([[0.0, 1.0], [1.0]])
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError, match="non-empty"):
+        with pytest.raises(TypeError, match=_NOT_AN_INTMATRIX):
             symmetric_eigen([])
 
-    @pytest.mark.parametrize("m,where", _NON_FINITE)
-    def test_rejects_non_finite_entries(self, m, where):
-        # NaN compares false, so the symmetry check alone would let it through
-        with pytest.raises(ValueError, match=f"entry {re.escape(where)} is not finite"):
+    @pytest.mark.parametrize("m", _NON_FINITE)
+    def test_rejects_non_finite_entries(self, m):
+        with pytest.raises(TypeError, match=_NOT_AN_INTMATRIX):
             symmetric_eigen(m)
 
-    @pytest.mark.parametrize("m,where", _NON_NUMBERS)
-    def test_rejects_entries_that_are_not_numbers(self, m, where):
-        with pytest.raises(TypeError, match=f"entry {re.escape(where)} must be an int or a float"):
+    @pytest.mark.parametrize("m", _NON_NUMBERS)
+    def test_rejects_entries_that_are_not_numbers(self, m):
+        with pytest.raises(TypeError, match=_NOT_AN_INTMATRIX):
             symmetric_eigen(m)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_returns_the_tridiagonal_form_taken_before_ql(self, seed):
         rng = random.Random(seed)
         k = rng.randint(3, 12)
-        m = [[0.0] * k for _ in range(k)]
+        m = [[0] * k for _ in range(k)]
         for i in range(k):
             for j in range(i + 1):
-                m[i][j] = m[j][i] = rng.choice((0.0, rng.uniform(-3.0, 3.0)))
-        d, e, _ = spectra._tridiagonal([row[:] for row in m])
-        assert symmetric_eigen(m)[2] == (d, e)
+                m[i][j] = m[j][i] = rng.choice((0, rng.randint(-5, 5)))
+        d, e, _ = spectra._tridiagonal([[float(x) for x in row] for row in m])
+        assert symmetric_eigen(IntMatrix.from_rows(m))[2] == (d, e)
 
 
 class TestCountMainEigenvalues:
@@ -439,6 +456,12 @@ class TestDivisorEigenpairs:
         with pytest.raises(ValueError):
             divisor_eigenpairs(3)
 
+    # 6.0 failed in range() without naming the order, and True as "order >= 4"
+    @pytest.mark.parametrize("n", [True, 6.0, "6", None], ids=repr)
+    def test_rejects_an_order_that_is_not_an_int(self, n):
+        with pytest.raises(TypeError, match=f"order must be an int, got {n!r}"):
+            divisor_eigenpairs(n)
+
 
 class TestMainValuePattern:
     @pytest.mark.parametrize("n", range(4, 30))
@@ -508,17 +531,17 @@ def _pairs(*pairs):
 class TestDetWalkSpectral:
     def test_diagonal_two_by_two(self):
         pairs = _pairs((1.0, (1.0, 0.0)), (2.0, (0.0, 1.0)))
-        m = [[1.0, 0.0], [0.0, 2.0]]
         # exact walk matrix [[1, 1], [1, 2]] has determinant 1
-        assert det_walk_spectral(m, pairs) == pytest.approx(1.0, abs=1e-12)
+        assert det_walk_spectral(_DIAG_1_2, pairs) == pytest.approx(1.0, abs=1e-12)
 
     def test_vanishes_when_a_vector_misses_the_ones(self):
         pairs = _pairs((1.0, (1.0, 1.0)), (-1.0, (1.0, -1.0)))
-        assert det_walk_spectral([[0.0, 1.0], [1.0, 0.0]], pairs) == pytest.approx(0.0, abs=1e-12)
+        m = IntMatrix.from_rows([[0, 1], [1, 0]])
+        assert det_walk_spectral(m, pairs) == pytest.approx(0.0, abs=1e-12)
 
     def test_vanishes_for_repeated_eigenvalue_with_orthogonal_vector(self):
         pairs = _pairs((1.0, (1.0, -1.0)), (1.0, (1.0, 1.0)))
-        assert det_walk_spectral([[1.0, 0.0], [0.0, 1.0]], pairs) == pytest.approx(0.0, abs=1e-12)
+        assert det_walk_spectral(IntMatrix.identity(2), pairs) == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("n", range(5, 13))
     def test_quotient_case_agrees_with_exact_determinant(self, n):
@@ -536,61 +559,71 @@ class TestDetWalkSpectral:
             for i in range(k):
                 for j in range(i, k):
                     entries[i][j] = entries[j][i] = rng.randint(-4, 4)
-            values, _, _ = symmetric_eigen(entries)
+            m = IntMatrix.from_rows(entries)
+            values, _, _ = symmetric_eigen(m)
             gaps = [b - a for a, b in zip(values, values[1:])]
             if gaps and min(gaps) < 1e-6:
                 continue
-            m = IntMatrix.from_rows(entries)
             exact = det_exact(walk_matrix(m))
             pairs = _pairs(*((lam, _eigenvector(entries, lam)) for lam in values))
-            approx = det_walk_spectral(entries, pairs)
+            approx = det_walk_spectral(m, pairs)
             assert abs(approx - exact) <= 1e-6 * max(1.0, abs(exact))
             checked += 1
 
     def test_rejects_dependent_vectors(self):
         pairs = _pairs((1.0, (1.0, 1.0)), (2.0, (2.0, 2.0)))
         with pytest.raises(ValueError):
-            det_walk_spectral([[1.0, 0.0], [0.0, 2.0]], pairs)
+            det_walk_spectral(_DIAG_1_2, pairs)
 
     def test_rejects_wrong_pair_count(self):
         with pytest.raises(ValueError):
-            det_walk_spectral([[1.0, 0.0], [0.0, 2.0]], _pairs((1.0, (1.0, 0.0))))
+            det_walk_spectral(_DIAG_1_2, _pairs((1.0, (1.0, 0.0))))
 
-    @pytest.mark.parametrize("m,where", _NON_FINITE)
-    def test_rejects_non_finite_entries(self, m, where):
+    @pytest.mark.parametrize("m", _NON_FINITE)
+    def test_rejects_non_finite_entries(self, m):
         pairs = _pairs(*((float(i), [1.0 if j == i else 0.0 for j in range(len(m))]) for i in range(len(m))))
-        with pytest.raises(ValueError, match=f"entry {re.escape(where)} is not finite"):
+        with pytest.raises(TypeError, match=_NOT_AN_INTMATRIX):
             det_walk_spectral(m, pairs)
 
-    @pytest.mark.parametrize("m,where", _NON_NUMBERS)
-    def test_rejects_entries_that_are_not_numbers(self, m, where):
+    @pytest.mark.parametrize("m", _NON_NUMBERS)
+    def test_rejects_entries_that_are_not_numbers(self, m):
         pairs = _pairs((1.0, (1.0, 0.0)), (3.0, (0.0, 1.0)))
-        with pytest.raises(TypeError, match=f"entry {re.escape(where)} must be an int or a float"):
+        with pytest.raises(TypeError, match=_NOT_AN_INTMATRIX):
             det_walk_spectral(m, pairs)
+
+    def test_rejects_a_matrix_that_is_not_square(self):
+        with pytest.raises(ValueError, match="matrix must be square, got 2x3"):
+            det_walk_spectral(IntMatrix(2, 3, [1, 0, 0, 0, 2, 0]), _pairs((1.0, (1.0, 0.0)), (2.0, (0.0, 1.0))))
+
+    def test_reads_only_the_order_of_the_matrix(self):
+        # the pairs are trusted: any 2x2 matrix gives the same value
+        pairs = _pairs((1.0, (1.0, 0.0)), (2.0, (0.0, 1.0)))
+        want = det_walk_spectral(_DIAG_1_2, pairs)
+        assert det_walk_spectral(IntMatrix.from_rows([[7, -3], [5, 0]]), pairs) == want
 
     @pytest.mark.parametrize("bad", _NON_FINITE_VALUES)
     def test_rejects_non_finite_eigenvalue(self, bad):
         pairs = _pairs((1.0, (1.0, 0.0)), (bad, (0.0, 1.0)))
         with pytest.raises(ValueError, match=r"eigenpair 1: eigenvalue is not finite"):
-            det_walk_spectral([[1.0, 0.0], [0.0, 2.0]], pairs)
+            det_walk_spectral(_DIAG_1_2, pairs)
 
     @pytest.mark.parametrize("bad", _NON_FINITE_VALUES)
     def test_rejects_non_finite_vector_entry(self, bad):
         pairs = _pairs((1.0, (1.0, 0.0)), (2.0, (0.0, bad)))
         with pytest.raises(ValueError, match=r"eigenpair 1: vector entry 1 is not finite"):
-            det_walk_spectral([[1.0, 0.0], [0.0, 2.0]], pairs)
+            det_walk_spectral(_DIAG_1_2, pairs)
 
     @pytest.mark.parametrize("bad", _NON_REALS)
     def test_rejects_an_eigenvalue_that_is_not_a_number(self, bad):
         pairs = _pairs((1.0, (1.0, 0.0)), (bad, (0.0, 1.0)))
         with pytest.raises(TypeError, match=r"eigenpair 1: eigenvalue must be an int or a float"):
-            det_walk_spectral([[1.0, 0.0], [0.0, 2.0]], pairs)
+            det_walk_spectral(_DIAG_1_2, pairs)
 
     @pytest.mark.parametrize("bad", _NON_REALS)
     def test_rejects_a_vector_entry_that_is_not_a_number(self, bad):
         pairs = _pairs((1.0, (1.0, 0.0)), (2.0, (0.0, bad)))
         with pytest.raises(TypeError, match=r"eigenpair 1: vector entry 1 must be an int or a float"):
-            det_walk_spectral([[1.0, 0.0], [0.0, 2.0]], pairs)
+            det_walk_spectral(_DIAG_1_2, pairs)
 
     @pytest.mark.parametrize("bad", _NON_FINITE_VALUES)
     def test_rejects_non_finite_closed_form_pair(self, bad):
@@ -600,6 +633,24 @@ class TestDetWalkSpectral:
         pairs[2] = replace(pairs[2], vector=pairs[2].vector[:3] + (bad,) + pairs[2].vector[4:])
         with pytest.raises(ValueError, match=r"eigenpair 2: vector entry 3 is not finite"):
             det_walk_spectral(b, pairs)
+
+
+# each float route, called on a 2x2 matrix with eigenpairs of _DIAG_1_2
+_ROUTES = {
+    "symmetric_eigen": symmetric_eigen,
+    "det_walk_spectral": lambda m: det_walk_spectral(m, _pairs((1.0, (1.0, 0.0)), (2.0, (0.0, 1.0)))),
+    "eigenpair_residual": lambda m: eigenpair_residual(m, ClosedFormEigenpair(0, 1.0, (1.0, 0.0))),
+}
+
+
+@pytest.mark.parametrize("route", sorted(_ROUTES))
+@pytest.mark.parametrize("form", [list, tuple])
+def test_every_float_route_takes_only_an_intmatrix(route, form):
+    call = _ROUTES[route]
+    call(_DIAG_1_2)
+    rows = form(form(r) for r in _DIAG_1_2.to_rows())
+    with pytest.raises(TypeError, match=f"matrix must be an IntMatrix, got {form.__name__}"):
+        call(rows)
 
 
 def test_eigenpair_residual_rejects_size_mismatch():

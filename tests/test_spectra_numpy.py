@@ -6,7 +6,7 @@ import pytest
 
 from inertia_counts import path_count_below, tree_count_below
 from walkrank.graphs import Graph, adjacency_matrix, make_extended_dynkin
-from walkrank.intmatrix import rank_fraction_free, walk_matrix
+from walkrank.intmatrix import IntMatrix, rank_fraction_free, walk_matrix
 from walkrank.spectra import (
     _forest,
     _tridiagonal,
@@ -18,11 +18,11 @@ np = pytest.importorskip("numpy")
 
 
 def _random_symmetric(rng, k):
-    m = [[0.0] * k for _ in range(k)]
+    m = [[0] * k for _ in range(k)]
     for i in range(k):
         for j in range(i, k):
-            m[i][j] = m[j][i] = rng.uniform(-5.0, 5.0)
-    return m
+            m[i][j] = m[j][i] = rng.randint(-5, 5)
+    return IntMatrix.from_rows(m)
 
 
 def _adjacency_rows(g):
@@ -37,7 +37,7 @@ def _random_tree(rng, order):
 
 
 def _complete(k):
-    return [[0.0 if i == j else 1.0 for j in range(k)] for i in range(k)]
+    return IntMatrix.from_rows([[0 if i == j else 1 for j in range(k)] for i in range(k)])
 
 
 def _complete_graph(k):
@@ -46,10 +46,10 @@ def _complete_graph(k):
 
 DIAG = (2, -1, 2, 0, -1, 2)
 REPEATED = (
-    [("zero", [[0.0] * 5 for _ in range(5)])]
+    [("zero", IntMatrix(5, 5, [0] * 25))]
     + [(f"K{k}", _complete(k)) for k in (1, 2, 3, 7, 16)]
-    + [("diag", [[float(d) if i == j else 0.0 for j in range(6)] for i, d in enumerate(DIAG)])]
-    + [(f"ext-dynkin:{n}", _adjacency_rows(make_extended_dynkin(n))) for n in range(4, 61)]
+    + [("diag", IntMatrix.from_rows([[d if i == j else 0 for j in range(6)] for i, d in enumerate(DIAG)]))]
+    + [(f"ext-dynkin:{n}", adjacency_matrix(make_extended_dynkin(n))) for n in range(4, 61)]
 )
 
 
@@ -64,7 +64,7 @@ def _group_norms(values, z, tol):
 
 
 def _check_against_eigvalsh(m):
-    a = np.array(m)
+    a = np.array(m.to_rows(), dtype=float)
     values, z, _ = symmetric_eigen(m)
     tol = 1e-10 * max(1.0, np.linalg.norm(a, 2))
     assert np.max(np.abs(np.array(values) - np.linalg.eigvalsh(a))) <= tol
