@@ -63,7 +63,10 @@ def check_family_order(n: int) -> None:
 
 
 def make_path(n: int) -> Graph:
-    """Path 1-2-...-n."""
+    """Path 1-2-...-n. TypeError unless n is an int, a bool excluded, and
+    ValueError unless n >= 1."""
+    if type(n) is not int:
+        raise TypeError(f"path order must be an int, got {n!r}")
     if n < 1:
         raise ValueError(f"path order must be >= 1, got {n}")
     return Graph(n, frozenset((i, i + 1) for i in range(1, n)))

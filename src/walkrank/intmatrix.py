@@ -42,6 +42,9 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, k: int) -> "IntMatrix":
+        """The k x k identity. TypeError unless k is an int, a bool excluded."""
+        if type(k) is not int:
+            raise TypeError(f"identity order must be an int, got {k!r}")
         data = [0] * (k * k)
         for i in range(k):
             data[i * k + i] = 1

@@ -323,7 +323,9 @@ def _decode(name: str, value: object) -> object:
         if type(value) is list and all(type(x) is int for x in value):
             return tuple(value)
     elif kind is dict:
-        if type(value) is dict and all(type(x) in (int, float) and 0 <= x < math.inf for x in value.values()):
+        if type(value) is dict and all(
+            type(x) in (int, float) and 0 <= x < math.inf for x in value.values()
+        ):
             return value
     elif type(value) is kind:
         return value
@@ -333,7 +335,8 @@ def _decode(name: str, value: object) -> object:
 def _report(record: object) -> VerifyReport:
     """A report from a mapping of exactly the report's fields to JSON values."""
     if type(record) is not dict or record.keys() != _FIELD_TYPES.keys():
-        raise ValueError(f"a report needs exactly the fields {', '.join(_REPORT_FIELDS)}, got {record!r}")
+        fields = ", ".join(_REPORT_FIELDS)
+        raise ValueError(f"a report needs exactly the fields {fields}, got {record!r}")
     return VerifyReport(**{name: _decode(name, value) for name, value in record.items()})
 
 

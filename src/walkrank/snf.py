@@ -13,15 +13,13 @@ class SnfResult:
     """Invariant factors d_1 | d_2 | ... | d_r of an integer matrix."""
 
     invariant_factors: tuple[int, ...]
-    rank: int
-    dims: tuple[int, int]
+
+    @property
+    def rank(self) -> int:
+        return len(self.invariant_factors)
 
     def __post_init__(self) -> None:
         d = self.invariant_factors
-        if self.rank != len(d):
-            raise ValueError("rank must equal the number of invariant factors")
-        if self.rank > min(self.dims):
-            raise ValueError("rank cannot exceed the smaller matrix dimension")
         for x in d:
             if x < 1:
                 raise ValueError(f"invariant factors must be positive, got {x}")
@@ -123,22 +121,22 @@ def smith_normal_form(m: IntMatrix, *, width: int | None = None) -> SnfResult:
 
     Works on the distinct nonzero rows of m only: subtracting a row from its
     copy is a unimodular operation that leaves a zero row, and zero rows add
-    no invariant factor, so the factors are those of m, and dims stays the
-    shape of m. Diagonalizes with elementary (unimodular) row and column
-    operations, always pivoting on the smallest-magnitude nonzero entry of
-    the remaining block, then repairs the divisibility chain on the diagonal.
+    no invariant factor, so the factors are those of m. Diagonalizes with
+    elementary (unimodular) row and column operations, always pivoting on the
+    smallest-magnitude nonzero entry of the remaining block, then repairs the
+    divisibility chain on the diagonal.
 
-    With `width`, only the first `width` columns are eliminated, and dims
-    stays the shape of m. The factors are then those of m exactly when every
-    later column is an integer combination of the first `width`. That holds
-    for a walk matrix W = [1, A1, A^2 1, ...] of an integer A at every
-    width >= rank W, such as W's count of distinct nonzero rows: the minimal
-    polynomial of 1 under A is monic with integer coefficients (Gauss's
-    lemma), so the column A^r 1 with r = rank W, and each later one, is an
-    integer combination of the columns before it. The same relations hold
-    on any subset of W's rows, so W's width also serves its trim, and W'
-    (the trim plus zero rows and columns). A width that is not an int, a
-    bool included, raises TypeError, and one below 1 ValueError.
+    With `width`, only the first `width` columns are eliminated. The factors
+    are then those of m exactly when every later column is an integer
+    combination of the first `width`. That holds for a walk matrix
+    W = [1, A1, A^2 1, ...] of an integer A at every width >= rank W, such as
+    W's count of distinct nonzero rows: the minimal polynomial of 1 under A
+    is monic with integer coefficients (Gauss's lemma), so the column A^r 1
+    with r = rank W, and each later one, is an integer combination of the
+    columns before it. The same relations hold on any subset of W's rows, so
+    W's width also serves its trim, and W' (the trim plus zero rows and
+    columns). A width that is not an int, a bool included, raises TypeError,
+    and one below 1 ValueError.
     """
     ncols = m.cols
     if width is not None:
@@ -162,8 +160,7 @@ def smith_normal_form(m: IntMatrix, *, width: int | None = None) -> SnfResult:
                 row[t], row[j0] = row[j0], row[t]
         _clear_corner(a, t, nrows, ncols)
         diag.append(abs(a[t][t]))
-    factors = _divisibility_fixup(diag)
-    return SnfResult(tuple(factors), len(factors), (m.rows, m.cols))
+    return SnfResult(tuple(_divisibility_fixup(diag)))
 
 
 def rank_via_snf(m: IntMatrix, *, width: int | None = None) -> int:

@@ -3,8 +3,7 @@ reduction to tridiagonal form, then implicit-shift QL, both rotating only the
 all-ones vector Q^T 1 and forming no eigenvectors), main-eigenvalue counting
 with an inertia check of its eigenvalue groups (one LDL^T count on a weighted
 forest: the graph itself when it is a forest, the tridiagonal form as a path
-otherwise), closed-form eigenpairs of the transposed divisor matrix, and the
-spectral determinant formula for walk matrices.
+otherwise), and the residuals of the divisor matrix's closed-form eigenpairs.
 
 Every matrix enters as an IntMatrix, and anything else raises TypeError; the
 integers are checked exactly before any of them becomes a float."""
@@ -173,7 +172,9 @@ def _implicit_ql(d: list[float], e: list[float], z: list[float]) -> None:
         e[l] = 0.0
 
 
-def symmetric_eigen(m: IntMatrix) -> tuple[list[float], list[float], tuple[list[float], list[float]]]:
+def symmetric_eigen(
+    m: IntMatrix,
+) -> tuple[list[float], list[float], tuple[list[float], list[float]]]:
     """Eigenvalues of a symmetric matrix and the all-ones vector's projections.
 
     Band reduction to tridiagonal form, then implicit-shift QL (Wilkinson &
@@ -188,15 +189,20 @@ def symmetric_eigen(m: IntMatrix) -> tuple[list[float], list[float], tuple[list[
     than _MAX_QL_ITERATIONS QL steps. m must be a square IntMatrix (TypeError,
     ValueError otherwise) and symmetric (ValueError otherwise), checked on
     its integers before any becomes a float: two entries that round to the
-    same float still differ.
+    same float still differ. An entry too large for a float raises ValueError.
     """
     k = _square(m)
     rows = list(map(m.row, range(k)))
     if rows != list(zip(*rows)):
         i, j = next((i, j) for i in range(k) for j in range(i + 1, k) if rows[i][j] != rows[j][i])
         raise ValueError(f"matrix is not symmetric at ({i}, {j})")
-    # float() of an int is finite or raises OverflowError
-    d, e, z = _tridiagonal([[float(x) for x in row] for row in rows])
+    try:
+        a = [[float(x) for x in row] for row in rows]
+    except OverflowError:
+        size = [abs(x) for row in rows for x in row]
+        i, j = divmod(size.index(max(size)), k)
+        raise ValueError(f"matrix entry at ({i}, {j}) is too large for a float") from None
+    d, e, z = _tridiagonal(a)
     form = (d[:], e[:])
     _implicit_ql(d, e, z)
     order = sorted(range(k), key=d.__getitem__)
@@ -231,7 +237,8 @@ def _forest(g: Graph) -> tuple[list[int], list[int]] | None:
 
 
 def _count_below(
-    parent: Sequence[int], order: Sequence[int], diag: Sequence[float], w2: Sequence[float], x: float
+    parent: Sequence[int], order: Sequence[int], diag: Sequence[float], w2: Sequence[float],
+    x: float,
 ) -> int:
     """Number of eigenvalues below x of a symmetric matrix M on a weighted forest.
 
@@ -336,20 +343,21 @@ def divisor_eigenpairs(n: int) -> list[ClosedFormEigenpair]:
     return pairs
 
 
-def _check_finite_pair(name: str, eigenvalue: float, vector: Sequence[float]) -> None:
+def _check_finite_pair(pair: ClosedFormEigenpair) -> None:
     """Raise TypeError naming the pair and the entry unless all are ints or
     floats, bools refused, and ValueError unless all are finite."""
+    name, eigenvalue, vector = f"eigenpair k={pair.k}", pair.eigenvalue, pair.vector
     # math.isfinite(True) holds, so True would read as 1.0
     if type(eigenvalue) not in (int, float):
-        raise TypeError(f"eigenpair {name}: eigenvalue must be an int or a float, got {eigenvalue!r}")
+        raise TypeError(f"{name}: eigenvalue must be an int or a float, got {eigenvalue!r}")
     if not {int, float}.issuperset(map(type, vector)):
         i = next(i for i, x in enumerate(vector) if type(x) not in (int, float))
-        raise TypeError(f"eigenpair {name}: vector entry {i} must be an int or a float, got {vector[i]!r}")
+        raise TypeError(f"{name}: vector entry {i} must be an int or a float, got {vector[i]!r}")
     if not math.isfinite(eigenvalue):
-        raise ValueError(f"eigenpair {name}: eigenvalue is not finite: {eigenvalue}")
+        raise ValueError(f"{name}: eigenvalue is not finite: {eigenvalue}")
     if not all(map(math.isfinite, vector)):
         i = next(i for i, x in enumerate(vector) if not math.isfinite(x))
-        raise ValueError(f"eigenpair {name}: vector entry {i} is not finite: {vector[i]}")
+        raise ValueError(f"{name}: vector entry {i} is not finite: {vector[i]}")
 
 
 def eigenpair_residual(m: IntMatrix, pair: ClosedFormEigenpair) -> float:
@@ -362,7 +370,7 @@ def eigenpair_residual(m: IntMatrix, pair: ClosedFormEigenpair) -> float:
     if _square(m) != len(pair.vector):
         raise ValueError("matrix and eigenvector sizes disagree")
     # max(0.0, nan) is 0.0, so a NaN would read as a perfect residual
-    _check_finite_pair(f"k={pair.k}", pair.eigenvalue, pair.vector)
+    _check_finite_pair(pair)
     v = pair.vector
     # the nonzero terms of each column of m^T v, in row order: a zero term
     # never changes a float sum, so sum() of them equals sum() of the whole
@@ -388,70 +396,3 @@ def main_value_pattern(n: int, k: int) -> int:
     if k == 0:
         return n - 1
     return 1 if k % 2 == 0 else 0
-
-
-def cosine_sum(a: float, b: float, x: float, n: int) -> float:
-    """Closed form of sum_{k=1..n} cos((a k + b) x).
-
-    Undefined when sin(a x / 2) vanishes; inputs within 1e-12 of that pole are
-    rejected.
-    """
-    half = math.sin(0.5 * a * x)
-    if abs(half) <= 1e-12:
-        raise ValueError("sin(a x / 2) is too close to zero")
-    return (math.sin(((n + 0.5) * a + b) * x) - math.sin((0.5 * a + b) * x)) / (2.0 * half)
-
-
-def _float_det(rows: list[list[float]]) -> float:
-    a = [row[:] for row in rows]
-    k = len(a)
-    det = 1.0
-    for c in range(k):
-        piv = max(range(c, k), key=lambda i: abs(a[i][c]))
-        if a[piv][c] == 0.0:
-            return 0.0
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            det = -det
-        det *= a[c][c]
-        inv = 1.0 / a[c][c]
-        for i in range(c + 1, k):
-            f = a[i][c] * inv
-            if f:
-                for j in range(c, k):
-                    a[i][j] -= f * a[c][j]
-    return det
-
-
-def det_walk_spectral(m: IntMatrix, pairs: Sequence[ClosedFormEigenpair]) -> float:
-    """Determinant of the walk matrix of m, evaluated from eigenpairs of m^T.
-
-    Product of all eigenvalue differences times the product of the all-ones
-    projections, divided by the determinant of the eigenvector matrix. Only
-    the order of m is read, so the pairs are trusted to be eigenpairs of m^T;
-    m must be a square IntMatrix (TypeError, ValueError otherwise). The
-    eigenvectors must be numerically independent, and every eigenvalue and
-    vector entry finite (ValueError otherwise) and an int or a float, not a
-    bool (TypeError otherwise).
-    """
-    k = _square(m)
-    if len(pairs) != k:
-        raise ValueError(f"need {k} eigenpairs, got {len(pairs)}")
-    for index, pair in enumerate(pairs):
-        _check_finite_pair(str(index), pair.eigenvalue, pair.vector)
-    lams = [pair.eigenvalue for pair in pairs]
-    vecs = [pair.vector for pair in pairs]
-    if any(len(v) != k for v in vecs):
-        raise ValueError("eigenvector length does not match the matrix order")
-    basis = [[float(vecs[j][i]) for j in range(k)] for i in range(k)]
-    det_basis = _float_det(basis)
-    if abs(det_basis) <= 1e-10:
-        raise ValueError("eigenvector matrix is numerically singular")
-    diffs = 1.0
-    for j in range(k):
-        for i in range(j):
-            diffs *= lams[j] - lams[i]
-    dots = 1.0
-    for v in vecs:
-        dots *= sum(v)
-    return diffs * dots / det_basis

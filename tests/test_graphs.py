@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from walkrank.graphs import (
@@ -119,6 +121,13 @@ def test_graph_rejects_orders_and_endpoints_that_are_not_ints(order, edges):
 def test_make_path_rejects_a_bool_order():
     with pytest.raises(TypeError):
         make_path(True)
+
+
+# 2.0 failed in range() and "2" in the comparison, neither naming the value
+@pytest.mark.parametrize("n", [2.0, True, "2"], ids=repr)
+def test_make_path_rejects_an_order_that_is_not_an_int(n):
+    with pytest.raises(TypeError, match=re.escape(f"path order must be an int, got {n!r}")):
+        make_path(n)
 
 
 def test_adjacency_matrix_path2():

@@ -114,6 +114,12 @@ class TestIntMatrix:
         with pytest.raises(TypeError, match=re.escape(f"row index must be an int, got {i!r}")):
             m.row(i)
 
+    # 2.0 failed in list multiplication without naming the value
+    @pytest.mark.parametrize("k", [2.0, True, "2"], ids=repr)
+    def test_identity_order_must_be_an_int(self, k):
+        with pytest.raises(TypeError, match=re.escape(f"identity order must be an int, got {k!r}")):
+            IntMatrix.identity(k)
+
     def test_matmul(self):
         a = IntMatrix.from_rows([[1, 2], [3, 4]])
         assert (a @ IntMatrix.identity(2)) == a

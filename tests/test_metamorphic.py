@@ -198,7 +198,6 @@ def test_row_changes_leave_every_kernel_unchanged(seed, change):
     for m, rng in _corpus(seed):
         changed = change(m, rng)
         assert _invariants(changed) == _invariants(m)
-        assert smith_normal_form(changed).dims == (changed.rows, changed.cols)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -4,16 +4,23 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from types import SimpleNamespace
 
 import pytest
 
 import walkrank.quotient as quotient
 import walkrank.reports as reports
+import walkrank.spectra as spectra
 from walkrank.graphs import adjacency_matrix, make_extended_dynkin
-from walkrank.intmatrix import rank_fraction_free, walk_matrix
-from walkrank.quotient import build_w_prime, hat_walk_matrix
+from walkrank.intmatrix import IntMatrix, rank_fraction_free, walk_matrix
+from walkrank.quotient import (
+    build_w_prime,
+    canonical_partition,
+    characteristic_matrix,
+    divisor_matrix,
+    hat_walk_matrix,
+)
 from walkrank.reports import (
     ALL_CHECKS,
     VerificationError,
@@ -27,6 +34,7 @@ from walkrank.reports import (
     verify,
 )
 from walkrank.snf import count_distinct_nonzero_rows, smith_normal_form
+from walkrank.spectra import divisor_eigenpairs, eigenpair_residual
 
 
 class TestVerify:
@@ -202,6 +210,59 @@ class TestRunChecks:
     def test_hagos_fails_when_the_inertia_check_fails(self, misplaced_eigenvalue):
         row = run_checks(8, ("hagos",))
         assert row.report.main_count == 4  # the count alone would still pass
+        assert row.passed == {"hagos": False}
+
+    # one fault per verdict term, each failing that term alone
+
+    def test_rank_fails_when_bareiss_is_off_by_one(self, monkeypatch):
+        monkeypatch.setattr(reports, "rank_fraction_free", lambda m: rank_fraction_free(m) + 1)
+        row = run_checks(8, ("rank",))
+        assert row.report.rank_exact == row.report.rank_expected == 4  # the SNF's rank
+        assert row.passed == {"rank": False}
+
+    def test_hat_fails_when_ap_differs_from_pb(self, monkeypatch):
+        def misplaced(partition, order):
+            rows = characteristic_matrix(partition, order).to_rows()
+            rows[0] = rows[0][-1:] + rows[0][:-1]  # vertex 1 in the next cell
+            return IntMatrix.from_rows(rows)
+
+        monkeypatch.setattr(reports, "characteristic_matrix", misplaced)
+        row = run_checks(8, ("hat",))
+        assert row.report.hat_equals_wb is True
+        assert row.passed == {"hat": False}
+
+    def test_eigpairs_fails_when_only_the_dot_pattern_breaks(self, monkeypatch):
+        # twice an eigenvector is one, but its entries sum to twice the pattern
+        def doubled(n):
+            return [replace(p, vector=tuple(2 * x for x in p.vector)) for p in divisor_eigenpairs(n)]
+
+        monkeypatch.setattr(reports, "divisor_eigenpairs", doubled)
+        b = divisor_matrix(make_extended_dynkin(8), canonical_partition(8))
+        assert max(eigenpair_residual(b, p) for p in doubled(8)) < reports.EIGENPAIR_RESIDUAL_TOL / 1000
+        assert run_checks(8, ("eigpairs",)).passed == {"eigpairs": False}
+
+    def test_eigpairs_fails_when_an_eigenvalue_is_off_by_1e_6(self, monkeypatch):
+        def moved(n):
+            pairs = divisor_eigenpairs(n)
+            pairs[1] = replace(pairs[1], eigenvalue=pairs[1].eigenvalue + 1e-6)
+            return pairs
+
+        monkeypatch.setattr(reports, "divisor_eigenpairs", moved)
+        assert run_checks(8, ("eigpairs",)).passed == {"eigpairs": False}
+
+    def test_hagos_fails_when_a_simple_eigenvalue_leaves_its_bracket(self, monkeypatch):
+        # the largest eigenvalue, 2, moved up by three times the half-width
+        # _GROUP_TOL/4 of its inertia bracket, which then misses A's eigenvalue
+        solve = spectra.symmetric_eigen
+
+        def moved(m):
+            values, z, form = solve(m)
+            values[-1] += 3 * spectra._GROUP_TOL / 4
+            return values, z, form
+
+        monkeypatch.setattr(spectra, "symmetric_eigen", moved)
+        row = run_checks(8, ("hagos",))
+        assert row.report.main_count == row.report.rank_exact == 4
         assert row.passed == {"hagos": False}
 
     def test_hagos_fills_rank_column(self):

@@ -1,0 +1,138 @@
+"""Mutation check: the test suite must fail on each listed mutant of walkrank.
+
+Run from anywhere, with pytest installed:
+
+    python tools/mutants.py
+
+A mutant is one textual replacement `(file, old, new)` in a file under
+`src/`. The runner first checks that each `old` occurs exactly once in its
+file. It then copies `src/` to a temporary directory and runs
+`python -m pytest -x -q` from the root of the checkout with that copy first
+on PYTHONPATH: once unchanged, where the suite must pass, and once per
+mutant with that one replacement made. It exits 1 naming every mutant the
+suite passes on, and 2 when an `old` is missing or repeated or the unchanged
+copy fails. Each run takes up to one suite run, about 12 s.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+MUTANTS = [
+    # each verdict term of run_checks, pinned by one fault test
+    (
+        "walkrank/reports.py",
+        "EIGENPAIR_RESIDUAL_TOL = 1e-10",
+        "EIGENPAIR_RESIDUAL_TOL = 1e-3",
+    ),
+    (
+        "walkrank/reports.py",
+        "if abs(sum(pair.vector) - main_value_pattern(n, pair.k)) > DOT_PATTERN_TOL:",
+        "if False:",
+    ),
+    (
+        "walkrank/reports.py",
+        'passed["hat"] = ap_eq_pb and rep.hat_equals_wb',
+        'passed["hat"] = rep.hat_equals_wb',
+    ),
+    (
+        "walkrank/reports.py",
+        'passed["rank"] = rep.rank_exact == r_bareiss == expected',
+        'passed["rank"] = rep.rank_exact == expected',
+    ),
+    (
+        "walkrank/spectra.py",
+        "delta = _GROUP_TOL / 4",
+        "delta = _GROUP_TOL * 25",
+    ),
+    (
+        "walkrank/reports.py",
+        'passed["hagos"] = spectrum.inertia_ok and rep.main_count',
+        'passed["hagos"] = rep.main_count',
+    ),
+    # the kernels and the rank chain of verify
+    (
+        "walkrank/snf.py",
+        "SnfResult(tuple(_divisibility_fixup(diag)))",
+        "SnfResult(tuple(diag))",
+    ),
+    (
+        "walkrank/intmatrix.py",
+        "elif p != q:",
+        "elif False:",
+    ),
+    (
+        "walkrank/spectra.py",
+        "q = pivmin",
+        "q = -pivmin",
+    ),
+    (
+        "walkrank/reports.py",
+        "rank_wprime = rank_fraction_free(build_w_prime(order.hat))",
+        "rank_wprime = rank_w",
+    ),
+]
+
+
+def misplaced(mutants: list[tuple[str, str, str]]) -> list[str]:
+    """One line per mutant whose `old` does not occur exactly once in its file."""
+    out = []
+    for file, old, _ in mutants:
+        count = (SRC / file).read_text(encoding="utf-8").count(old)
+        if count != 1:
+            out.append(f"{file}: {old!r} occurs {count} times, not once")
+    return out
+
+
+def _suite_passes(src: Path) -> bool:
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q"]
+    return subprocess.run(cmd, cwd=ROOT, env=env, stdout=subprocess.DEVNULL).returncode == 0
+
+
+def _copy(tmp: Path, mutant: tuple[str, str, str] | None) -> Path:
+    """A fresh copy of src/ under tmp, with the mutant's replacement made."""
+    copy = tmp / "src"
+    shutil.rmtree(copy, ignore_errors=True)
+    shutil.copytree(SRC, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    if mutant is not None:
+        file, old, new = mutant
+        path = copy / file
+        path.write_text(path.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
+    return copy
+
+
+def main() -> int:
+    problems = misplaced(MUTANTS)
+    if problems:
+        print("\n".join(problems), file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        if not _suite_passes(_copy(Path(tmp), None)):
+            print("the suite fails on the unchanged source", file=sys.stderr)
+            return 2
+        survivors = []
+        for file, old, new in MUTANTS:
+            name = f"{file}: {old!r} -> {new!r}"
+            killed = not _suite_passes(_copy(Path(tmp), (file, old, new)))
+            print(f"{'killed' if killed else 'SURVIVED'}: {name}", flush=True)
+            if not killed:
+                survivors.append(name)
+    if survivors:
+        print(f"{len(survivors)} of {len(MUTANTS)} mutants survived:", file=sys.stderr)
+        print("\n".join(survivors), file=sys.stderr)
+        return 1
+    print(f"all {len(MUTANTS)} mutants killed")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
