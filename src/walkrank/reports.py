@@ -177,12 +177,14 @@ def _check_order(order: _Order, checks: Iterable[str]) -> ScanRow:
     rep = VerifyReport(n=n, timings=order.timings)
     passed: dict[str, bool] = {}
 
+    if "rank" in checks or "hagos" in checks:
+        rep.rank_exact, rep.rank_expected = order.snf_w.rank, expected
+    if not {"rank", "snf-equiv", "conjecture"}.isdisjoint(checks):
+        rep.snf_w = order.snf_w.invariant_factors
+
     if "rank" in checks:
         r_bareiss = order.timed("rank_bareiss", rank_fraction_free, order.w)
-        rep.snf_w = order.snf_w.invariant_factors
-        rep.rank_exact = order.snf_w.rank
-        rep.rank_expected = expected
-        passed["rank"] = rep.rank_exact == r_bareiss == expected
+        passed["rank"] = order.snf_w.rank == r_bareiss == expected
 
     if "hat" in checks:
         ap_eq_pb = order.timed("ap_pb", _ap_equals_pb, n, order.adj, order.b, order.partition)
@@ -190,24 +192,19 @@ def _check_order(order: _Order, checks: Iterable[str]) -> ScanRow:
         passed["hat"] = ap_eq_pb and rep.hat_equals_wb
 
     if "snf-equiv" in checks:
-        rep.snf_w = order.snf_w.invariant_factors
         rep.snf_wprime = order.timed(
             "snf_wprime", smith_normal_form, order.hat, width=order.snf_width
         ).invariant_factors
-        rep.integrally_equiv = rep.snf_w == rep.snf_wprime
+        rep.integrally_equiv = order.snf_w.invariant_factors == rep.snf_wprime
         passed["snf-equiv"] = rep.integrally_equiv
 
     if "hagos" in checks:
         spectrum = order.timed("main_eigenvalues", count_main_eigenvalues, order.graph)
         rep.main_count = spectrum.main_count
-        if rep.rank_exact is None:
-            rep.rank_exact = order.timed("rank_bareiss", rank_fraction_free, order.w)
-        rep.rank_expected = expected
-        passed["hagos"] = spectrum.inertia_ok and rep.main_count == rep.rank_exact == expected
+        passed["hagos"] = spectrum.inertia_ok and rep.main_count == order.snf_w.rank == expected
 
     if "conjecture" in checks:
-        rep.snf_w = order.snf_w.invariant_factors
-        rep.conjecture_holds = rep.snf_w == conjectured_factors(n)
+        rep.conjecture_holds = order.snf_w.invariant_factors == conjectured_factors(n)
         passed["conjecture"] = rep.conjecture_holds
 
     if "eigpairs" in checks:
@@ -237,8 +234,7 @@ def verify(n: int) -> VerifyReport:
     """
     order = _Order(n)
     row = _check_order(order, ALL_CHECKS)
-    rep = row.report
-    rank_w = rep.rank_exact
+    rank_w = order.snf_w.rank
     rank_wprime = rank_fraction_free(build_w_prime(order.hat))
     rank_hat = rank_fraction_free(order.hat)
     if not rank_w == rank_wprime == rank_hat:
@@ -247,7 +243,7 @@ def verify(n: int) -> VerifyReport:
         )
     if row.theorem_failures:
         raise VerificationError(f"checks failed at n={n}: {', '.join(row.theorem_failures)}")
-    return rep
+    return row.report
 
 
 def _worker_count(jobs: int, orders: int, cpus: int | None) -> int:
@@ -277,10 +273,9 @@ def scan(
     not an int, a bool included, raises TypeError.
     """
     for n in (from_n, to_n):
-        if type(n) is not int:
-            raise TypeError(f"order must be an int, got {n!r}")
-    if from_n < 4 or to_n < from_n:
-        raise ValueError(f"scan range must satisfy 4 <= from <= to, got {from_n}..{to_n}")
+        check_family_order(n)
+    if to_n < from_n:
+        raise ValueError(f"scan range must satisfy from <= to, got {from_n}..{to_n}")
     checks = _validate_checks(checks)
     orders = range(from_n, to_n + 1)
     workers = _worker_count(jobs, len(orders), os.cpu_count())

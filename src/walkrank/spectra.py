@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from .graphs import Graph, adjacency_matrix, check_family_order
 from .intmatrix import IntMatrix, row_support
@@ -55,6 +55,14 @@ def _square(m: IntMatrix) -> int:
     if m.rows != m.cols:
         raise ValueError(f"matrix must be square, got {m.rows}x{m.cols}")
     return m.rows
+
+
+def _too_large(m: IntMatrix) -> NoReturn:
+    """Raise ValueError naming the (row, col) of m's largest entry in absolute
+    value: called when converting m to floats overflowed."""
+    size = [abs(x) for i in range(m.rows) for x in m.row(i)]
+    i, j = divmod(size.index(max(size)), m.cols)
+    raise ValueError(f"matrix entry at ({i}, {j}) is too large for a float") from None
 
 
 def _rotate(a: list[list[float]], z: list[float], p: int, col: int, b: int) -> None:
@@ -199,9 +207,7 @@ def symmetric_eigen(
     try:
         a = [[float(x) for x in row] for row in rows]
     except OverflowError:
-        size = [abs(x) for row in rows for x in row]
-        i, j = divmod(size.index(max(size)), k)
-        raise ValueError(f"matrix entry at ({i}, {j}) is too large for a float") from None
+        _too_large(m)
     d, e, z = _tridiagonal(a)
     form = (d[:], e[:])
     _implicit_ql(d, e, z)
@@ -365,7 +371,8 @@ def eigenpair_residual(m: IntMatrix, pair: ClosedFormEigenpair) -> float:
 
     m must be a square IntMatrix (TypeError, ValueError otherwise). A NaN
     or infinite eigenvalue or vector entry raises ValueError, and one that is
-    not an int or a float (a bool included) TypeError.
+    not an int or a float (a bool included) TypeError. An entry of m too
+    large for a float raises ValueError naming m's largest entry.
     """
     if _square(m) != len(pair.vector):
         raise ValueError("matrix and eigenvector sizes disagree")
@@ -376,9 +383,12 @@ def eigenpair_residual(m: IntMatrix, pair: ClosedFormEigenpair) -> float:
     # never changes a float sum, so sum() of them equals sum() of the whole
     # column. sum() and not +=: from Python 3.12 sum() compensates rounding
     terms: list[list[float]] = [[] for _ in v]
-    for vi, support in zip(v, row_support(m)):
-        for j, a in support:
-            terms[j].append(a * vi)
+    try:
+        for vi, support in zip(v, row_support(m)):
+            for j, a in support:
+                terms[j].append(a * vi)
+    except OverflowError:
+        _too_large(m)
     return max(0.0, *(abs(sum(t) - pair.eigenvalue * x) for t, x in zip(terms, v)))
 
 

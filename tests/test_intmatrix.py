@@ -4,6 +4,7 @@ from enum import IntEnum
 
 import pytest
 
+from builders import det_cofactor, random_matrix, w8
 from d8_data import W8_RANK, W8_ROWS
 from walkrank.graphs import adjacency_matrix, make_extended_dynkin, make_path
 from walkrank.intmatrix import (
@@ -26,29 +27,6 @@ class _Sub(int):
 
 class _Colour(IntEnum):
     RED = 1
-
-
-def _random_matrix(rng, rows, cols, bound=9):
-    return IntMatrix(rows, cols, [rng.randint(-bound, bound) for _ in range(rows * cols)])
-
-
-def _det_cofactor(rows):
-    """Independent determinant by first-row cofactor expansion."""
-    k = len(rows)
-    if k == 1:
-        return rows[0][0]
-    total = 0
-    for j, head in enumerate(rows[0]):
-        if head == 0:
-            continue
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        sign = -1 if j % 2 else 1
-        total += sign * head * _det_cofactor(minor)
-    return total
-
-
-def _w8():
-    return walk_matrix(adjacency_matrix(make_extended_dynkin(8)))
 
 
 class TestIntMatrix:
@@ -153,7 +131,7 @@ class TestIntMatrix:
 
 class TestWalkMatrix:
     def test_order8_pinned_rows(self):
-        w = _w8()
+        w = w8()
         assert w.row(0) == (1, 1, 3, 4, 11, 16, 43, 64, 171)
         assert w.row(4) == (1, 2, 4, 10, 16, 42, 64, 170, 256)
         assert w.to_rows() == W8_ROWS
@@ -189,7 +167,7 @@ class TestWalkMatrix:
 
 class TestRank:
     def test_order8_rank(self):
-        assert rank_fraction_free(_w8()) == W8_RANK
+        assert rank_fraction_free(w8()) == W8_RANK
 
     @pytest.mark.parametrize("k", [1, 2, 5, 9])
     def test_identity_rank(self, k):
@@ -205,7 +183,7 @@ class TestRank:
     def test_agrees_with_snf_on_random_corpus(self):
         rng = random.Random(20240817)
         for _ in range(60):
-            m = _random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
+            m = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
             assert rank_fraction_free(m) == rank_via_snf(m)
 
     @pytest.mark.parametrize("n", range(4, 25))
@@ -236,7 +214,7 @@ class TestRankModular:
     def test_largest_prime_below_the_deterministic_bound(self):
         # 3317044064679887385961981 is the least strong pseudoprime to the
         # thirteen Miller-Rabin bases; this is the largest prime below it
-        assert rank_modular(_w8(), 3317044064679887385961813) == W8_RANK
+        assert rank_modular(w8(), 3317044064679887385961813) == W8_RANK
 
     def test_rejects_the_least_strong_pseudoprime_to_twelve_bases(self):
         # 399165290221 * 798330580441 passes Miller-Rabin to every prime base
@@ -250,13 +228,13 @@ class TestRankModular:
 
     @pytest.mark.parametrize("p", [2, 3, 101, 1073741827])
     def test_order8_lower_bound(self, p):
-        assert rank_modular(_w8(), p) <= W8_RANK
+        assert rank_modular(w8(), p) <= W8_RANK
 
     def test_lower_bound_with_equality_somewhere(self):
         rng = random.Random(99)
         primes = [1073741827, 1073741831, 1073741833]
         for _ in range(40):
-            m = _random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
+            m = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
             exact = rank_fraction_free(m)
             mod_ranks = [rank_modular(m, p) for p in primes]
             assert all(r <= exact for r in mod_ranks)
@@ -290,14 +268,14 @@ class TestDeterminant:
         g = make_extended_dynkin(5)
         b = divisor_matrix(g, canonical_partition(5))
         wb = walk_matrix(b)
-        assert det_exact(wb) == _det_cofactor(wb.to_rows())
+        assert det_exact(wb) == det_cofactor(wb.to_rows())
 
     def test_random_vs_cofactor_oracle(self):
         rng = random.Random(7)
         for _ in range(40):
             k = rng.randint(1, 5)
-            m = _random_matrix(rng, k, k)
-            assert det_exact(m) == _det_cofactor(m.to_rows())
+            m = random_matrix(rng, k, k)
+            assert det_exact(m) == det_cofactor(m.to_rows())
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
@@ -307,13 +285,13 @@ class TestDeterminant:
         rng = random.Random(123)
         for _ in range(60):
             k = rng.randint(1, 5)
-            m = _random_matrix(rng, k, k, bound=4)
+            m = random_matrix(rng, k, k, bound=4)
             assert (det_exact(m) != 0) == (rank_fraction_free(m) == k)
 
 
 class TestMatrixText:
     def test_round_trip(self):
-        m = _w8()
+        m = w8()
         assert parse_matrix_text(format_matrix_text(m)) == m
 
     def test_negative_entries(self):

@@ -33,7 +33,7 @@ from walkrank.reports import (
     scan,
     verify,
 )
-from walkrank.snf import count_distinct_nonzero_rows, smith_normal_form
+from walkrank.snf import SnfResult, count_distinct_nonzero_rows, smith_normal_form
 from walkrank.spectra import divisor_eigenpairs, eigenpair_residual
 
 
@@ -265,6 +265,43 @@ class TestRunChecks:
         assert row.report.main_count == row.report.rank_exact == 4
         assert row.passed == {"hagos": False}
 
+    def test_hagos_counts_a_projection_of_1e_6_as_main(self, monkeypatch):
+        # D8's simple eigenvalue 2 keeps an all-ones projection of 1e-6, which
+        # lies between _PROJ_TOL * sqrt(9) and 1e-4 * sqrt(9)
+        solve = spectra.symmetric_eigen
+
+        def faint(m):
+            values, z, form = solve(m)
+            assert abs(values[-1] - 2.0) < 1e-9
+            z[-1] = 1e-6
+            return values, z, form
+
+        monkeypatch.setattr(spectra, "symmetric_eigen", faint)
+        row = run_checks(8, ("hagos",))
+        assert row.report.main_count == 4
+        assert row.passed == {"hagos": True}
+
+    # a verdict, or the rank column, that read what another check computed
+    # would differ here from the check run alone once one exact route is wrong
+    @pytest.mark.parametrize("fault", [None, "bareiss off by one", "snf short of its last factor"])
+    def test_no_verdict_depends_on_the_other_checks(self, monkeypatch, fault):
+        if fault == "bareiss off by one":
+            monkeypatch.setattr(reports, "rank_fraction_free", lambda m: rank_fraction_free(m) + 1)
+        elif fault == "snf short of its last factor":
+
+            def short(m, *, width=None):
+                return SnfResult(smith_normal_form(m, width=width).invariant_factors[:-1])
+
+            monkeypatch.setattr(reports, "smith_normal_form", short)
+        for n in (4, 5, 8):
+            alone = {c: run_checks(n, (c,)) for c in ALL_CHECKS}
+            for size in range(1, len(ALL_CHECKS) + 1):
+                for checks in itertools.combinations(ALL_CHECKS, size):
+                    row = run_checks(n, checks)
+                    assert row.passed == {c: alone[c].passed[c] for c in checks}, checks
+                    ranks = {alone[c].report.rank_exact for c in checks} - {None}
+                    assert {row.report.rank_exact} - {None} == ranks, checks
+
     def test_hagos_fills_rank_column(self):
         rep = run_checks(10, ("hagos",)).report
         assert rep.main_count == 5
@@ -376,9 +413,10 @@ class TestScan:
             assert a.passed == b.passed
 
     def test_rejects_bad_range(self):
-        with pytest.raises(ValueError):
-            scan(3, 10)
-        with pytest.raises(ValueError):
+        for from_n, to_n in [(3, 10), (4, 3)]:
+            with pytest.raises(ValueError, match="order must be >= 4, got 3"):
+                scan(from_n, to_n)
+        with pytest.raises(ValueError, match="from <= to, got 10..4"):
             scan(10, 4)
 
     # (4, 6.0) failed in range() without naming the order, and a bool failed

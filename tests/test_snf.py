@@ -4,15 +4,12 @@ from math import gcd
 
 import pytest
 
+from builders import det_cofactor, random_matrix, w8
 from d8_data import W8_FACTORS, W8_PRIME_ROWS, W8_RANK
 from walkrank.graphs import adjacency_matrix, make_dynkin, make_extended_dynkin, make_path
 from walkrank.intmatrix import IntMatrix, det_exact, walk_matrix
 from walkrank.quotient import build_w_prime, hat_walk_matrix
 from walkrank.snf import SnfResult, count_distinct_nonzero_rows, rank_via_snf, smith_normal_form
-
-
-def _random_matrix(rng, rows, cols, bound=9):
-    return IntMatrix(rows, cols, [rng.randint(-bound, bound) for _ in range(rows * cols)])
 
 
 def _diagonal(entries, rows, cols):
@@ -26,19 +23,6 @@ def _factors(m):
     return smith_normal_form(m).invariant_factors
 
 
-def _det_cofactor(rows):
-    k = len(rows)
-    if k == 1:
-        return rows[0][0]
-    total = 0
-    for j, head in enumerate(rows[0]):
-        if head == 0:
-            continue
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        total += (-1 if j % 2 else 1) * head * _det_cofactor(minor)
-    return total
-
-
 def _factors_via_minor_gcds(m):
     """Independent invariant factors: d_k = gcd of all k x k minors, then
     successive quotients. Only viable for small matrices."""
@@ -49,7 +33,7 @@ def _factors_via_minor_gcds(m):
         for rsel in combinations(range(m.rows), k):
             for csel in combinations(range(m.cols), k):
                 sub = [[rows[i][j] for j in csel] for i in rsel]
-                g = gcd(g, _det_cofactor(sub))
+                g = gcd(g, det_cofactor(sub))
         if g == 0:
             break
         divisors.append(g)
@@ -61,18 +45,14 @@ def _factors_via_minor_gcds(m):
     return tuple(factors)
 
 
-def _w8():
-    return walk_matrix(adjacency_matrix(make_extended_dynkin(8)))
-
-
 class TestSmithNormalForm:
     def test_order8_walk_matrix(self):
-        result = smith_normal_form(_w8())
+        result = smith_normal_form(w8())
         assert result.invariant_factors == W8_FACTORS
         assert result.rank == W8_RANK
 
     def test_order8_padded_variant(self):
-        result = smith_normal_form(build_w_prime(hat_walk_matrix(_w8())))
+        result = smith_normal_form(build_w_prime(hat_walk_matrix(w8())))
         assert result.invariant_factors == W8_FACTORS
 
     @pytest.mark.parametrize("k", [1, 3, 6])
@@ -109,13 +89,13 @@ class TestSmithNormalForm:
     def test_against_minor_gcd_oracle_on_random_corpus(self):
         rng = random.Random(424242)
         for _ in range(80):
-            m = _random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4), bound=6)
+            m = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4), bound=6)
             assert smith_normal_form(m).invariant_factors == _factors_via_minor_gcds(m)
 
     def test_divisibility_chain_on_random_corpus(self):
         rng = random.Random(5150)
         for _ in range(120):
-            m = _random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7))
+            m = random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7))
             d = smith_normal_form(m).invariant_factors
             assert all(b % a == 0 for a, b in zip(d, d[1:]))
 
@@ -124,7 +104,7 @@ class TestSmithNormalForm:
         seen_full_rank = 0
         while seen_full_rank < 30:
             k = rng.randint(1, 5)
-            m = _random_matrix(rng, k, k, bound=5)
+            m = random_matrix(rng, k, k, bound=5)
             det = det_exact(m)
             if det == 0:
                 continue
@@ -137,7 +117,7 @@ class TestSmithNormalForm:
     def test_idempotent_on_own_diagonal(self):
         rng = random.Random(8)
         for _ in range(30):
-            m = _random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
+            m = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
             result = smith_normal_form(m)
             again = smith_normal_form(_diagonal(result.invariant_factors, m.rows, m.cols))
             assert again.invariant_factors == result.invariant_factors
@@ -155,7 +135,7 @@ class TestSnfResult:
 
 class TestRankViaSnf:
     def test_order8(self):
-        assert rank_via_snf(_w8()) == W8_RANK
+        assert rank_via_snf(w8()) == W8_RANK
 
     def test_zero(self):
         assert rank_via_snf(IntMatrix(4, 4, [0] * 16)) == 0
@@ -222,21 +202,21 @@ class TestWidth:
     @pytest.mark.parametrize("width", [True, False, 1.0, "2"])
     def test_rejects_a_width_that_is_not_an_int(self, width):
         with pytest.raises(TypeError, match="width must be an int"):
-            smith_normal_form(_w8(), width=width)
+            smith_normal_form(w8(), width=width)
 
     @pytest.mark.parametrize("width", [0, -1])
     def test_rejects_a_width_below_one(self, width):
         with pytest.raises(ValueError, match="width must be >= 1"):
-            smith_normal_form(_w8(), width=width)
+            smith_normal_form(w8(), width=width)
         with pytest.raises(ValueError, match="width must be >= 1"):
-            rank_via_snf(_w8(), width=width)
+            rank_via_snf(w8(), width=width)
 
 
 class TestIntegralEquivalence:
     """Equal shapes with equal invariant factors: the comparison the reports make."""
 
     def test_order8_pair(self):
-        w = _w8()
+        w = w8()
         assert _factors(w) == _factors(build_w_prime(hat_walk_matrix(w)))
 
     def test_permuted_identity(self):
@@ -249,10 +229,10 @@ class TestIntegralEquivalence:
 
 class TestBuildWPrime:
     def test_order8_pinned(self):
-        assert build_w_prime(hat_walk_matrix(_w8())).to_rows() == W8_PRIME_ROWS
+        assert build_w_prime(hat_walk_matrix(w8())).to_rows() == W8_PRIME_ROWS
 
     def test_order8_second_row(self):
-        assert build_w_prime(hat_walk_matrix(_w8())).row(1) == (1, 1, 3, 4, 11, 16, 43, 0, 0)
+        assert build_w_prime(hat_walk_matrix(w8())).row(1) == (1, 1, 3, 4, 11, 16, 43, 0, 0)
 
     @pytest.mark.parametrize("n", range(4, 16))
     def test_zero_border(self, n):

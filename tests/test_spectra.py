@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from builders import complete_graph
 from inertia_counts import path_count_below, tree_count_below
 from spectral_identities import cosine_sum, det_walk_spectral
 import walkrank.spectra as spectra
@@ -19,10 +20,6 @@ from walkrank.spectra import (
     main_value_pattern,
     symmetric_eigen,
 )
-
-
-def _complete_graph(k):
-    return Graph(k, [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)])
 
 
 def _eigenvector(m, lam):
@@ -214,7 +211,7 @@ class TestSymmetricEigen:
 
 class TestCountMainEigenvalues:
     def test_complete_graph_has_one_main_group(self):
-        report = count_main_eigenvalues(_complete_graph(3))
+        report = count_main_eigenvalues(complete_graph(3))
         assert report.main_count == 1
         assert len(report.eigenvalues) == 3
 
@@ -237,7 +234,7 @@ class TestCountMainEigenvalues:
         assert report.inertia_ok
 
     @pytest.mark.parametrize(
-        "g", [make_extended_dynkin(n) for n in range(4, 31)] + [_complete_graph(5)]
+        "g", [make_extended_dynkin(n) for n in range(4, 31)] + [complete_graph(5)]
     )
     def test_residual_is_the_dense_formula(self, g):
         # column m of the exact walk matrix sums to 1^T A^m 1 = sum_i lambda_i^m z_i^2
@@ -291,7 +288,7 @@ class TestInertia:
         assert tree_count_below(g, x) == below
 
     def test_forest_detection(self):
-        assert spectra._forest(_complete_graph(3)) is None
+        assert spectra._forest(complete_graph(3)) is None
         two_paths = Graph(5, [(1, 2), (3, 4), (4, 5)])  # P2 and P3: -1, 1, +-sqrt(2), 0
         assert tree_count_below(two_paths, 0.5) == 3
         assert count_main_eigenvalues(two_paths).inertia_route == "tree"
@@ -299,7 +296,7 @@ class TestInertia:
     @pytest.mark.parametrize("k", range(1, 9))
     def test_sturm_route_on_complete_graphs(self, k):
         # K_k has -1 with multiplicity k - 1 and k - 1 once
-        report = count_main_eigenvalues(_complete_graph(k))
+        report = count_main_eigenvalues(complete_graph(k))
         assert report.inertia_route == ("tree" if k <= 2 else "sturm")
         assert report.inertia_ok
         d, e, _ = spectra._tridiagonal([[0.0 if i == j else 1.0 for j in range(k)] for i in range(k)])
@@ -329,7 +326,7 @@ class TestInertia:
         "g,route",
         [
             (make_extended_dynkin(8), "tree"),
-            (_complete_graph(5), "sturm"),
+            (complete_graph(5), "sturm"),
             (Graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)]), "sturm"),
         ],
         ids=["D8", "K5", "C5"],
@@ -347,11 +344,11 @@ class TestInertia:
         assert report.inertia_route == route and report.inertia_ok
         assert calls == [g.order]
 
-    @pytest.mark.parametrize("g", [make_extended_dynkin(8), _complete_graph(5)], ids=["tree", "sturm"])
+    @pytest.mark.parametrize("g", [make_extended_dynkin(8), complete_graph(5)], ids=["tree", "sturm"])
     def test_a_moved_eigenvalue_fails_the_check(self, misplaced_eigenvalue, g):
         assert not count_main_eigenvalues(g).inertia_ok
 
-    @pytest.mark.parametrize("g", [make_extended_dynkin(8), _complete_graph(5)], ids=["tree", "sturm"])
+    @pytest.mark.parametrize("g", [make_extended_dynkin(8), complete_graph(5)], ids=["tree", "sturm"])
     def test_an_eigenvalue_moved_inside_its_gap_fails_the_check(self, in_gap_eigenvalue, g):
         # every gap midpoint still has the right count below it; only the
         # bracket of the moved group sees that A has no eigenvalue there
@@ -360,7 +357,7 @@ class TestInertia:
         assert not report.inertia_ok
 
     @pytest.mark.parametrize(
-        "g,top", [(make_extended_dynkin(8), 2), (_complete_graph(5), 5)], ids=["tree", "sturm"]
+        "g,top", [(make_extended_dynkin(8), 2), (complete_graph(5), 5)], ids=["tree", "sturm"]
     )
     def test_two_merged_eigenvalues_fail_the_check(self, merged_eigenvalues, g, top):
         # D~8's 2 joins sqrt(3), K5's 4 joins the four -1s: with no gap
@@ -369,7 +366,7 @@ class TestInertia:
         assert report.groups[-1][1] == top
         assert not report.inertia_ok
 
-    @pytest.mark.parametrize("g", [make_extended_dynkin(8), _complete_graph(5)], ids=["tree", "sturm"])
+    @pytest.mark.parametrize("g", [make_extended_dynkin(8), complete_graph(5)], ids=["tree", "sturm"])
     def test_a_split_eigenvalue_fails_the_check(self, split_eigenvalue, g):
         report = count_main_eigenvalues(g)
         assert len(report.groups) == len(set(round(v, 6) for v in report.eigenvalues)) + 1
@@ -392,7 +389,7 @@ class TestMetamorphic:
         # z = Q^T 1 with Q orthogonal, so the sum of z_i^2 is |1|^2 = order
         rng = random.Random(100 + n)
         g = make_extended_dynkin(n)
-        for h in (g, _relabelled(g, rng), _complete_graph(n)):
+        for h in (g, _relabelled(g, rng), complete_graph(n)):
             _, z, _ = symmetric_eigen(adjacency_matrix(h))
             assert abs(sum(x * x for x in z) - h.order) <= 1e-12 * h.order
 
@@ -648,3 +645,12 @@ def test_eigenpair_residual_rejects_entries_that_are_not_numbers(bad):
 def test_eigenpair_residual_takes_int_entries():
     m = IntMatrix.from_rows([[1, 0], [0, 2]])
     assert eigenpair_residual(m, ClosedFormEigenpair(0, 2, (0, 1))) == 0.0
+
+
+# the product of the entry with a vector entry raised a bare OverflowError,
+# even where that vector entry is 0.0
+@pytest.mark.parametrize("pair", [(1.0, (1.0, 0.0)), (0.0, (0.0, 1.0))])
+def test_eigenpair_residual_rejects_an_entry_too_large_for_a_float(pair):
+    m = IntMatrix.from_rows([[2**1100, 0], [0, 1]])
+    with pytest.raises(ValueError, match=re.escape("matrix entry at (0, 0) is too large for a float")):
+        eigenpair_residual(m, ClosedFormEigenpair(0, *pair))

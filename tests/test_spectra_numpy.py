@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from builders import complete_graph
 from inertia_counts import path_count_below, tree_count_below
 from walkrank.graphs import Graph, adjacency_matrix, make_extended_dynkin
 from walkrank.intmatrix import IntMatrix, rank_fraction_free, walk_matrix
@@ -38,10 +39,6 @@ def _random_tree(rng, order):
 
 def _complete(k):
     return IntMatrix.from_rows([[0 if i == j else 1 for j in range(k)] for i in range(k)])
-
-
-def _complete_graph(k):
-    return Graph(k, [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)])
 
 
 DIAG = (2, -1, 2, 0, -1, 2)
@@ -146,7 +143,7 @@ def _cycle(k):
     return Graph(k, [(i, i % k + 1) for i in range(1, k + 1)])
 
 
-STURM_GRAPHS = [(f"K{k}", _complete_graph(k)) for k in range(3, 17)] + [
+STURM_GRAPHS = [(f"K{k}", complete_graph(k)) for k in range(3, 17)] + [
     (f"C{k}", _cycle(k)) for k in range(3, 25)
 ]
 
