@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .intmatrix import IntMatrix, read_int_table
+from .intmatrix import IntMatrix, check_int, read_int_table
 
 Edge = tuple[int, int]
 
@@ -36,10 +36,7 @@ class Graph:
 
     def __post_init__(self) -> None:
         # a bool order would pass as 1, and a float one breaks neighbor_sets()
-        if type(self.order) is not int:
-            raise TypeError(f"graph order must be an int, got {self.order!r}")
-        if self.order < 1:
-            raise ValueError(f"graph order must be >= 1, got {self.order}")
+        check_int(self.order, "graph order", 1)
         object.__setattr__(self, "edges", _normalize_edges(self.order, self.edges))
 
     @property
@@ -55,20 +52,13 @@ class Graph:
 
 
 def check_family_order(n: int) -> None:
-    """TypeError unless n is an int, a bool excluded, and ValueError unless n >= 4."""
-    if type(n) is not int:
-        raise TypeError(f"order must be an int, got {n!r}")
-    if n < 4:
-        raise ValueError(f"order must be >= 4, got {n}")
+    """The order of a family member: n as in check_int, at least 4."""
+    check_int(n, "order", 4)
 
 
 def make_path(n: int) -> Graph:
-    """Path 1-2-...-n. TypeError unless n is an int, a bool excluded, and
-    ValueError unless n >= 1."""
-    if type(n) is not int:
-        raise TypeError(f"path order must be an int, got {n!r}")
-    if n < 1:
-        raise ValueError(f"path order must be >= 1, got {n}")
+    """Path 1-2-...-n; n as in check_int, at least 1."""
+    check_int(n, "path order", 1)
     return Graph(n, frozenset((i, i + 1) for i in range(1, n)))
 
 

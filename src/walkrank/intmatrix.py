@@ -9,16 +9,33 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 
+def check_int(value: object, what: str, least: int | None = None) -> None:
+    """TypeError unless value is exactly an int (a bool, an int subclass such
+    as an IntEnum member or a numpy integer, a float or a str is refused, never
+    coerced), then ValueError if it is below least. what names the argument."""
+    if type(value) is not int:
+        raise TypeError(f"{what} must be an int, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{what} must be >= {least}, got {value}")
+
+
+def square_order(m: "IntMatrix") -> int:
+    """The order of m: TypeError unless m is an IntMatrix, ValueError unless it is square."""
+    if not isinstance(m, IntMatrix):
+        raise TypeError(f"matrix must be an IntMatrix, got {type(m).__name__}")
+    if m.rows != m.cols:
+        raise ValueError(f"matrix must be square, got {m.rows}x{m.cols}")
+    return m.rows
+
+
 class IntMatrix:
     """Immutable dense integer matrix, row-major storage."""
 
     __slots__ = ("rows", "cols", "_data")
 
     def __init__(self, rows: int, cols: int, data: Sequence[int]):
-        if type(rows) is not int or type(cols) is not int:
-            raise TypeError(f"matrix dimensions must be ints, got {rows!r}x{cols!r}")
-        if rows < 1 or cols < 1:
-            raise ValueError(f"matrix dimensions must be positive, got {rows}x{cols}")
+        check_int(rows, "matrix rows", 1)
+        check_int(cols, "matrix cols", 1)
         if len(data) != rows * cols:
             raise ValueError(
                 f"a {rows}x{cols} matrix needs {rows * cols} entries, got {len(data)}"
@@ -42,9 +59,8 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, k: int) -> "IntMatrix":
-        """The k x k identity. TypeError unless k is an int, a bool excluded."""
-        if type(k) is not int:
-            raise TypeError(f"identity order must be an int, got {k!r}")
+        """The k x k identity; k as in check_int, at least 1."""
+        check_int(k, "identity order", 1)
         data = [0] * (k * k)
         for i in range(k):
             data[i * k + i] = 1
@@ -109,9 +125,7 @@ def walk_matrix(m: IntMatrix) -> IntMatrix:
     Columns are produced by repeated matrix-vector products; matrix powers are
     never formed.
     """
-    if m.rows != m.cols:
-        raise ValueError(f"walk matrix needs a square input, got {m.rows}x{m.cols}")
-    k = m.rows
+    k = square_order(m)
     support = row_support(m)
     cols: list[list[int]] = [[1] * k]
     v = cols[0]
@@ -206,10 +220,9 @@ def rank_fraction_free(m: IntMatrix) -> int:
 
 def det_exact(m: IntMatrix) -> int:
     """Exact integer determinant via the same fraction-free elimination."""
-    if m.rows != m.cols:
-        raise ValueError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
+    k = square_order(m)
     rank, sign, last_pivot = _bareiss(m)
-    return sign * last_pivot if rank == m.rows else 0
+    return sign * last_pivot if rank == k else 0
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -251,11 +264,9 @@ def rank_modular(m: IntMatrix, p: int) -> int:
     truth. Elimination runs on the distinct nonzero rows of m mod p, since a
     repeated or zero row adds nothing to the row space over GF(p). Moduli at
     or above _MR_DETERMINISTIC_BELOW are rejected, since primality is not
-    certain there. A modulus that is not an int, a bool included, raises
-    TypeError.
+    certain there. The modulus is checked by check_int.
     """
-    if type(p) is not int:
-        raise TypeError(f"modulus must be an int, got {p!r}")
+    check_int(p, "modulus")
     if p >= _MR_DETERMINISTIC_BELOW:
         raise ValueError(
             f"modulus {p} is at or above {_MR_DETERMINISTIC_BELOW}, where the "

@@ -7,7 +7,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .graphs import Graph, check_family_order
-from .intmatrix import IntMatrix
+from .intmatrix import IntMatrix, square_order
 
 
 class NotEquitableError(ValueError):
@@ -131,9 +131,7 @@ def divisor_matrix(g: Graph, p: EquitablePartition) -> IntMatrix:
 
 def hat_walk_matrix(w: IntMatrix) -> IntMatrix:
     """Submatrix keeping rows 2..n and columns 1..n-1 of an (n+1)-square walk matrix."""
-    if w.rows != w.cols:
-        raise ValueError(f"expected a square walk matrix, got {w.rows}x{w.cols}")
-    size = w.rows
+    size = square_order(w)
     if size < 5:
         raise ValueError(f"need at least a 5x5 walk matrix, got {size}x{size}")
     return IntMatrix.from_rows([w.row(i)[: size - 2] for i in range(1, size - 1)])

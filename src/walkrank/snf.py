@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .intmatrix import IntMatrix
+from .intmatrix import IntMatrix, check_int
 
 
 @dataclass(frozen=True)
@@ -135,15 +135,11 @@ def smith_normal_form(m: IntMatrix, *, width: int | None = None) -> SnfResult:
     with r = rank W, and each later one, is an integer combination of the
     columns before it. The same relations hold on any subset of W's rows, so
     W's width also serves its trim, and W' (the trim plus zero rows and
-    columns). A width that is not an int, a bool included, raises TypeError,
-    and one below 1 ValueError.
+    columns). The width is checked by check_int, and must be at least 1.
     """
     ncols = m.cols
     if width is not None:
-        if type(width) is not int:
-            raise TypeError(f"width must be an int, got {width!r}")
-        if width < 1:
-            raise ValueError(f"width must be >= 1, got {width}")
+        check_int(width, "width", 1)
         ncols = min(width, ncols)
     a = [list(r) for r in dict.fromkeys(m.row(i)[:ncols] for i in range(m.rows)) if any(r)]
     nrows = len(a)

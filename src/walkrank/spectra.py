@@ -5,8 +5,9 @@ with an inertia check of its eigenvalue groups (one LDL^T count on a weighted
 forest: the graph itself when it is a forest, the tridiagonal form as a path
 otherwise), and the residuals of the divisor matrix's closed-form eigenpairs.
 
-Every matrix enters as an IntMatrix, and anything else raises TypeError; the
-integers are checked exactly before any of them becomes a float."""
+Every matrix enters as a square IntMatrix (intmatrix.square_order), and
+anything else raises TypeError or ValueError; the integers are checked exactly
+before any of them becomes a float."""
 
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from typing import NoReturn, Sequence
 
 from .graphs import Graph, adjacency_matrix, check_family_order
-from .intmatrix import IntMatrix, row_support
+from .intmatrix import IntMatrix, check_int, row_support, square_order
 
 _EPS = 2.0**-52
 _MAX_QL_ITERATIONS = 30  # QL steps per eigenvalue, EISPACK's cap; about two are typical
@@ -46,15 +47,6 @@ class ClosedFormEigenpair:
     k: int
     eigenvalue: float
     vector: tuple[float, ...]
-
-
-def _square(m: IntMatrix) -> int:
-    """The order of m: TypeError unless m is an IntMatrix, ValueError unless it is square."""
-    if not isinstance(m, IntMatrix):
-        raise TypeError(f"matrix must be an IntMatrix, got {type(m).__name__}")
-    if m.rows != m.cols:
-        raise ValueError(f"matrix must be square, got {m.rows}x{m.cols}")
-    return m.rows
 
 
 def _too_large(m: IntMatrix) -> NoReturn:
@@ -199,7 +191,7 @@ def symmetric_eigen(
     its integers before any becomes a float: two entries that round to the
     same float still differ. An entry too large for a float raises ValueError.
     """
-    k = _square(m)
+    k = square_order(m)
     rows = list(map(m.row, range(k)))
     if rows != list(zip(*rows)):
         i, j = next((i, j) for i in range(k) for j in range(i + 1, k) if rows[i][j] != rows[j][i])
@@ -349,9 +341,10 @@ def divisor_eigenpairs(n: int) -> list[ClosedFormEigenpair]:
     return pairs
 
 
-def _check_finite_pair(pair: ClosedFormEigenpair) -> None:
-    """Raise TypeError naming the pair and the entry unless all are ints or
-    floats, bools refused, and ValueError unless all are finite."""
+def _float_pair(pair: ClosedFormEigenpair) -> tuple[float, list[float]]:
+    """The eigenvalue and vector of pair as floats. TypeError naming the pair
+    and the entry unless all are ints or floats, bools refused, and
+    ValueError naming the pair unless all are finite and fit in a float."""
     name, eigenvalue, vector = f"eigenpair k={pair.k}", pair.eigenvalue, pair.vector
     # math.isfinite(True) holds, so True would read as 1.0
     if type(eigenvalue) not in (int, float):
@@ -359,26 +352,32 @@ def _check_finite_pair(pair: ClosedFormEigenpair) -> None:
     if not {int, float}.issuperset(map(type, vector)):
         i = next(i for i, x in enumerate(vector) if type(x) not in (int, float))
         raise TypeError(f"{name}: vector entry {i} must be an int or a float, got {vector[i]!r}")
-    if not math.isfinite(eigenvalue):
+    try:
+        lam, v = float(eigenvalue), list(map(float, vector))
+    except OverflowError:
+        raise ValueError(f"{name}: an int entry is too large for a float") from None
+    if not math.isfinite(lam):
         raise ValueError(f"{name}: eigenvalue is not finite: {eigenvalue}")
-    if not all(map(math.isfinite, vector)):
-        i = next(i for i, x in enumerate(vector) if not math.isfinite(x))
+    if not all(map(math.isfinite, v)):
+        i = next(i for i, x in enumerate(v) if not math.isfinite(x))
         raise ValueError(f"{name}: vector entry {i} is not finite: {vector[i]}")
+    return lam, v
 
 
 def eigenpair_residual(m: IntMatrix, pair: ClosedFormEigenpair) -> float:
     """Max-norm of (m^T v - lambda v) for one claimed eigenpair of m^T.
 
-    m must be a square IntMatrix (TypeError, ValueError otherwise). A NaN
-    or infinite eigenvalue or vector entry raises ValueError, and one that is
-    not an int or a float (a bool included) TypeError. An entry of m too
-    large for a float raises ValueError naming m's largest entry.
+    m as in square_order. A NaN or infinite eigenvalue or vector entry, or an
+    int one too large for a float, raises ValueError naming the pair, and one
+    that is not an int or a float (a bool included) TypeError. The pair is
+    converted to floats first, so the residual is a float even for an
+    all-int pair. An entry of m too large for a float raises ValueError
+    naming m's largest entry.
     """
-    if _square(m) != len(pair.vector):
+    if square_order(m) != len(pair.vector):
         raise ValueError("matrix and eigenvector sizes disagree")
     # max(0.0, nan) is 0.0, so a NaN would read as a perfect residual
-    _check_finite_pair(pair)
-    v = pair.vector
+    lam, v = _float_pair(pair)
     # the nonzero terms of each column of m^T v, in row order: a zero term
     # never changes a float sum, so sum() of them equals sum() of the whole
     # column. sum() and not +=: from Python 3.12 sum() compensates rounding
@@ -389,18 +388,17 @@ def eigenpair_residual(m: IntMatrix, pair: ClosedFormEigenpair) -> float:
                 terms[j].append(a * vi)
     except OverflowError:
         _too_large(m)
-    return max(0.0, *(abs(sum(t) - pair.eigenvalue * x) for t, x in zip(terms, v)))
+    return max(0.0, *(abs(sum(t) - lam * x) for t, x in zip(terms, v)))
 
 
 def main_value_pattern(n: int, k: int) -> int:
     """Exact dot product of the all-ones vector with the k-th closed-form eigenvector.
 
-    n-1 at k = 0, then 1 for even k and 0 for odd k. A non-int n or k: TypeError.
+    n-1 at k = 0, then 1 for even k and 0 for odd k. n as in
+    check_family_order, k as in check_int.
     """
-    if type(n) is not int or type(k) is not int:
-        raise TypeError(f"order and k must be ints, got {n!r} and {k!r}")
-    if n < 4:
-        raise ValueError(f"order must be >= 4, got {n}")
+    check_family_order(n)
+    check_int(k, "k")
     if not 0 <= k <= n - 2:
         raise IndexError(f"k must be in 0..{n - 2}, got {k}")
     if k == 0:

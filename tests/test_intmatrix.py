@@ -9,6 +9,7 @@ from d8_data import W8_RANK, W8_ROWS
 from walkrank.graphs import adjacency_matrix, make_extended_dynkin, make_path
 from walkrank.intmatrix import (
     IntMatrix,
+    check_int,
     det_exact,
     format_matrix_text,
     parse_ints,
@@ -27,6 +28,34 @@ class _Sub(int):
 
 class _Colour(IntEnum):
     RED = 1
+
+
+class TestCheckInt:
+    # each value is built inside the test, so only the numpy case skips
+    # where numpy is missing
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: True,
+            lambda: _Sub(5),
+            lambda: _Colour.RED,
+            lambda: pytest.importorskip("numpy").int64(5),
+            lambda: 5.0,
+            lambda: "5",
+            lambda: None,
+        ],
+        ids=["bool", "int-subclass", "IntEnum", "numpy-int64", "float", "str", "None"],
+    )
+    def test_refuses_what_is_not_exactly_an_int(self, make):
+        value = make()
+        with pytest.raises(TypeError, match=re.escape(f"size must be an int, got {value!r}")):
+            check_int(value, "size", 1)
+
+    def test_least(self):
+        with pytest.raises(ValueError, match=re.escape("size must be >= 4, got 3")):
+            check_int(3, "size", 4)
+        check_int(4, "size", 4)
+        check_int(-7, "size")
 
 
 class TestIntMatrix:

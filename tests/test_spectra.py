@@ -500,7 +500,9 @@ class TestMainValuePattern:
 
     @pytest.mark.parametrize("n,k", [(8, 2.0), (8, True), (8.0, 2), (True, 0), ("8", 2)])
     def test_rejects_arguments_that_are_not_ints(self, n, k):
-        with pytest.raises(TypeError, match=re.escape(f"order and k must be ints, got {n!r} and {k!r}")):
+        # the order is checked first, and each message names its own argument
+        what, bad = ("k", k) if type(n) is int else ("order", n)
+        with pytest.raises(TypeError, match=re.escape(f"{what} must be an int, got {bad!r}")):
             main_value_pattern(n, k)
 
 
@@ -647,9 +649,25 @@ def test_eigenpair_residual_takes_int_entries():
     assert eigenpair_residual(m, ClosedFormEigenpair(0, 2, (0, 1))) == 0.0
 
 
+def test_eigenpair_residual_of_an_int_pair_is_a_float():
+    # the int pair used to give the int 2
+    residual = eigenpair_residual(IntMatrix.identity(2), ClosedFormEigenpair(1, 3, (1, 0)))
+    assert type(residual) is float and residual == 2.0
+
+
+# math.isfinite() of these ints raised a bare OverflowError
+@pytest.mark.parametrize("big", [2**1024, -(2**1100)], ids=["2**1024", "-2**1100"])
+def test_eigenpair_residual_rejects_a_pair_entry_too_large_for_a_float(big):
+    m = IntMatrix.from_rows([[1, 0], [0, 2]])
+    for pair in [(big, (1.0, 0.0)), (1.0, (1.0, big))]:
+        with pytest.raises(ValueError, match=r"eigenpair k=1: an int entry is too large for a float"):
+            eigenpair_residual(m, ClosedFormEigenpair(1, *pair))
+
+
 # the product of the entry with a vector entry raised a bare OverflowError,
-# even where that vector entry is 0.0
-@pytest.mark.parametrize("pair", [(1.0, (1.0, 0.0)), (0.0, (0.0, 1.0))])
+# even where that vector entry is 0.0; with an all-int pair the residual was
+# a 332-digit int
+@pytest.mark.parametrize("pair", [(1.0, (1.0, 0.0)), (0.0, (0.0, 1.0)), (1, (1, 0))])
 def test_eigenpair_residual_rejects_an_entry_too_large_for_a_float(pair):
     m = IntMatrix.from_rows([[2**1100, 0], [0, 1]])
     with pytest.raises(ValueError, match=re.escape("matrix entry at (0, 0) is too large for a float")):

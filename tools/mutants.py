@@ -84,6 +84,12 @@ MUTANTS = [
         "rank_wprime = rank_fraction_free(build_w_prime(order.hat))",
         "rank_wprime = rank_w",
     ),
+    # the one home of the rule that an integer argument is exactly an int
+    (
+        "walkrank/intmatrix.py",
+        "if type(value) is not int:",
+        "if not isinstance(value, int):",
+    ),
 ]
 
 
