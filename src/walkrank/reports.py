@@ -88,6 +88,9 @@ def conjectured_factors(n: int) -> tuple[int, ...]:
 
 
 def _validate_checks(checks: Iterable[str]) -> tuple[str, ...]:
+    if isinstance(checks, str):
+        # tuple("rank") is its letters, which would read as unknown checks
+        raise TypeError(f"checks must be a collection of check names, not the str {checks!r}")
     out = tuple(checks)
     unknown = [c for c in out if c not in ALL_CHECKS]
     if unknown:

@@ -1,9 +1,10 @@
 """Floating-point spectra: a self-contained symmetric eigensolver (band
-reduction to tridiagonal form, then implicit-shift QL, both rotating only the
-all-ones vector Q^T 1 and forming no eigenvectors), main-eigenvalue counting
-with an inertia check of its eigenvalue groups (one LDL^T count on a weighted
-forest: the graph itself when it is a forest, the tridiagonal form as a path
-otherwise), and the residuals of the divisor matrix's closed-form eigenpairs.
+reduction to tridiagonal form, then implicit-shift QL as in EISPACK's imtql2,
+both rotating only the all-ones vector Q^T 1 and forming no eigenvectors),
+main-eigenvalue counting with an inertia check of its eigenvalue groups (one
+LDL^T count on a weighted forest: the graph itself when it is a forest, the
+tridiagonal form as a path otherwise), and the residuals of the divisor
+matrix's closed-form eigenpairs.
 
 Every matrix enters as a square IntMatrix (intmatrix.square_order), and
 anything else raises TypeError or ValueError; the integers are checked exactly
@@ -116,20 +117,16 @@ def _tridiagonal(a: list[list[float]]) -> tuple[list[float], list[float], list[f
 
 
 def _implicit_ql(d: list[float], e: list[float], z: list[float]) -> None:
-    """Implicit-shift QL on a tridiagonal matrix (EISPACK's tql2), rotating z.
+    """Implicit-shift QL on a tridiagonal matrix (EISPACK's imtql2), rotating z.
 
-    On return d holds the eigenvalues, and z has gone through every QL
-    rotation: if z was Q^T 1 for T = Q^T A Q, z[i] is now the dot product of
-    the all-ones vector with a unit eigenvector of A for d[i].
+    Wilkinson's shift enters each step's first rotation, so the diagonal is
+    never shifted. On return d holds the eigenvalues, and z has gone through
+    every QL rotation: if z was Q^T 1 for T = Q^T A Q, z[i] is now the dot
+    product of the all-ones vector with a unit eigenvector of A for d[i].
     """
-    k = len(d)
-    shift = 0.0
     tst1 = 0.0
-    for l in range(k):
+    for l in range(len(d)):
         tst1 = max(tst1, abs(d[l]) + abs(e[l]))
-        m = l
-        while abs(e[m]) > _EPS * tst1:
-            m += 1
         iterations = 0
         while abs(e[l]) > _EPS * tst1:
             if iterations == _MAX_QL_ITERATIONS:
@@ -138,38 +135,31 @@ def _implicit_ql(d: list[float], e: list[float], z: list[float]) -> None:
                     f"within {_MAX_QL_ITERATIONS} iterations"
                 )
             iterations += 1
-            g = d[l]
-            p = (d[l + 1] - g) / (2.0 * e[l])
-            r = math.copysign(math.hypot(p, 1.0), p)
-            d[l] = e[l] / (p + r)
-            d[l + 1] = e[l] * (p + r)
-            dl1 = d[l + 1]
-            h = g - d[l]
-            for i in range(l + 2, k):
-                d[i] -= h
-            shift += h
-            p = d[m]
-            c = c2 = c3 = 1.0
-            el1 = e[l + 1]
-            s = s2 = 0.0
+            m = l + 1
+            while abs(e[m]) > _EPS * tst1:
+                m += 1
+            g = (d[l + 1] - d[l]) / (2.0 * e[l])
+            g = d[m] - d[l] + e[l] / (g + math.copysign(math.hypot(g, 1.0), g))
+            s, c, p = 1.0, 1.0, 0.0
             for i in range(m - 1, l - 1, -1):
-                c3, c2, s2 = c2, c, s
-                g = c * e[i]
-                h = c * p
-                r = math.hypot(p, e[i])
-                e[i + 1] = s * r
-                s = e[i] / r
-                c = p / r
-                p = c * d[i] - s * g
-                d[i + 1] = h + s * (c * g + s * d[i])
-                lo, hi = z[i], z[i + 1]
-                z[i + 1] = s * lo + c * hi
-                z[i] = c * lo - s * hi
-            p = -s * s2 * c3 * el1 * e[l] / dl1
-            e[l] = s * p
-            d[l] = c * p
-        d[l] += shift
-        e[l] = 0.0
+                f, b = s * e[i], c * e[i]
+                e[i + 1] = r = math.hypot(f, g)
+                if r == 0.0:
+                    # f = g = 0 (underflow): T splits at e[i + 1] = 0, so start over
+                    d[i + 1] -= p
+                    e[m] = 0.0
+                    break
+                s, c = f / r, g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+                z[i], z[i + 1] = c * z[i] - s * z[i + 1], s * z[i] + c * z[i + 1]
+            else:
+                d[l] -= p
+                e[l] = g
+                e[m] = 0.0
 
 
 def symmetric_eigen(
@@ -177,19 +167,19 @@ def symmetric_eigen(
 ) -> tuple[list[float], list[float], tuple[list[float], list[float]]]:
     """Eigenvalues of a symmetric matrix and the all-ones vector's projections.
 
-    Band reduction to tridiagonal form, then implicit-shift QL (Wilkinson &
-    Reinsch, Handbook for Automatic Computation II, 1971); both rotate only
-    z = Q^T 1, the way Golub & Welsch (Math. Comp. 23, 1969) carry one row of
-    Q, and no eigenvector is formed. Returns the eigenvalues in ascending
-    order and z in the same order: z[i] is the dot product of the all-ones
-    vector with the i-th vector of an orthonormal eigenbasis. Inside a
-    repeated eigenvalue that basis is arbitrary, so only the norm of z over
+    Band reduction to tridiagonal form, then implicit-shift QL (Dubrulle,
+    Martin & Wilkinson, Handbook for Automatic Computation II/4, 1971); both
+    rotate only z = Q^T 1, the way Golub & Welsch (Math. Comp. 23, 1969) carry
+    one row of Q, and no eigenvector is formed. Returns the eigenvalues in
+    ascending order and z in the same order: z[i] is the dot product of the
+    all-ones vector with the i-th vector of an orthonormal eigenbasis. Inside
+    a repeated eigenvalue that basis is arbitrary, so only the norm of z over
     the whole group is determined. Third comes the tridiagonal form (d, e)
     taken before QL. Raises ConvergenceError when one eigenvalue needs more
     than _MAX_QL_ITERATIONS QL steps. m must be a square IntMatrix (TypeError,
-    ValueError otherwise) and symmetric (ValueError otherwise), checked on
-    its integers before any becomes a float: two entries that round to the
-    same float still differ. An entry too large for a float raises ValueError.
+    ValueError otherwise) and symmetric (ValueError otherwise), checked on its
+    integers before any becomes a float: two entries that round to the same
+    float still differ. An entry too large for a float raises ValueError.
     """
     k = square_order(m)
     rows = list(map(m.row, range(k)))

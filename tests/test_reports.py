@@ -362,6 +362,13 @@ class TestRunChecks:
         with pytest.raises(ValueError):
             run_checks(8, ())
 
+    def test_rejects_a_str_of_checks(self):
+        # a str is an iterable of its letters: this read "unknown checks: 'r', 'a', 'n', 'k'"
+        with pytest.raises(TypeError, match="collection of check names, not the str 'rank'"):
+            run_checks(8, "rank")
+        with pytest.raises(TypeError, match="not the str 'hagos'"):
+            scan(4, 5, "hagos")
+
     def test_rejects_a_repeated_check(self):
         with pytest.raises(ValueError, match="named once"):
             run_checks(8, ("rank", "hat", "rank"))

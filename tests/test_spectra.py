@@ -208,6 +208,18 @@ class TestSymmetricEigen:
         d, e, _ = spectra._tridiagonal([[float(x) for x in row] for row in m])
         assert symmetric_eigen(IntMatrix.from_rows(m))[2] == (d, e)
 
+    def test_ql_restarts_when_a_rotation_underflows(self):
+        # scaled down to subnormals, one rotation of the first QL step meets
+        # f = g = 0.0, and dividing by their hypot would raise ZeroDivisionError
+        rows = [[0, -1, 0], [-1, 3, -1], [0, -1, 1]]
+        want, want_z, _ = symmetric_eigen(IntMatrix.from_rows(rows))
+        t = 2.0**-1035
+        d, e, z = [0.0, 3 * t, t], [-t, -t, 0.0], [1.0] * 3
+        spectra._implicit_ql(d, e, z)
+        got = sorted(zip(d, z))
+        assert [x / t for x, _ in got] == pytest.approx(want, rel=1e-9)
+        assert [abs(y) for _, y in got] == pytest.approx(list(map(abs, want_z)), rel=1e-9)
+
 
 class TestCountMainEigenvalues:
     def test_complete_graph_has_one_main_group(self):

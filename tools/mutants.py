@@ -84,6 +84,27 @@ MUTANTS = [
         "rank_wprime = rank_fraction_free(build_w_prime(order.hat))",
         "rank_wprime = rank_w",
     ),
+    # the implicit-shift QL kernel: z's rotation, the shift and the deflation test
+    (
+        "walkrank/spectra.py",
+        "z[i], z[i + 1] = c * z[i] - s * z[i + 1], s * z[i] + c * z[i + 1]",
+        "pass",
+    ),
+    (
+        "walkrank/spectra.py",
+        "math.copysign(math.hypot(g, 1.0), g)",
+        "math.copysign(math.hypot(g, 1.0), -g)",
+    ),
+    (
+        "walkrank/spectra.py",
+        "g = d[m] - d[l] + e[l] / (g + math.copysign(math.hypot(g, 1.0), g))",
+        "g = d[m] - d[l]",
+    ),
+    (
+        "walkrank/spectra.py",
+        "while abs(e[m]) > _EPS * tst1:",
+        "while abs(e[m]) > 1e-6 * tst1:",
+    ),
     # the one home of the rule that an integer argument is exactly an int
     (
         "walkrank/intmatrix.py",
