@@ -43,7 +43,7 @@ from .reports import (
     scan,
     verify,
 )
-from .snf import count_distinct_nonzero_rows, rank_via_snf, smith_normal_form
+from .snf import count_distinct_nonzero_rows, smith_normal_form
 from .spectra import _GROUP_TOL, _PROJ_TOL, ConvergenceError, count_main_eigenvalues
 
 FAMILIES = {
@@ -125,7 +125,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
     m, width = _load_matrix(args.source)
     method = args.method
     if method == "snf":
-        r = rank_via_snf(m, width=width)
+        r = smith_normal_form(m, width=width).rank
     elif method == "bareiss":
         r = rank_fraction_free(m)
     elif method.startswith("mod:"):

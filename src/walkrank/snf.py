@@ -52,49 +52,6 @@ def _min_abs_nonzero(a: list[list[int]], t: int, nrows: int, ncols: int) -> tupl
     return best
 
 
-def _clear_corner(a: list[list[int]], t: int, nrows: int, ncols: int) -> None:
-    """Zero out column t below and row t right of the corner with unimodular ops.
-
-    Every restart strictly shrinks |a[t][t]| (a nonzero division remainder is
-    at most half the pivot), so this terminates.
-    """
-    while True:
-        p = a[t][t]
-        swapped = False
-        for i in range(t + 1, nrows):
-            v = a[i][t]
-            if not v:
-                continue
-            q = _nearest_div(v, p)
-            if q:
-                arow, trow = a[i], a[t]
-                for j in range(t, ncols):
-                    if trow[j]:
-                        arow[j] -= q * trow[j]
-            if a[i][t]:
-                a[t], a[i] = a[i], a[t]
-                swapped = True
-                break
-        if swapped:
-            continue
-        # column t is now (p, 0, ..., 0); a column op below touches row t only
-        trow = a[t]
-        for j in range(t + 1, ncols):
-            v = trow[j]
-            if not v:
-                continue
-            q = _nearest_div(v, p)
-            if q:
-                trow[j] -= q * p
-            if trow[j]:
-                for row in a[t:nrows]:
-                    row[t], row[j] = row[j], row[t]
-                swapped = True
-                break
-        if not swapped:
-            return
-
-
 def _divisibility_fixup(diag: list[int]) -> list[int]:
     """Turn positive diagonal entries into a divisibility chain via gcd/lcm passes."""
     d = list(diag)
@@ -122,9 +79,12 @@ def smith_normal_form(m: IntMatrix, *, width: int | None = None) -> SnfResult:
     Works on the distinct nonzero rows of m only: subtracting a row from its
     copy is a unimodular operation that leaves a zero row, and zero rows add
     no invariant factor, so the factors are those of m. Diagonalizes with
-    elementary (unimodular) row and column operations, always pivoting on the
-    smallest-magnitude nonzero entry of the remaining block, then repairs the
-    divisibility chain on the diagonal.
+    elementary (unimodular) row and column operations, then repairs the
+    divisibility chain on the diagonal. Each corner t starts from the least
+    nonzero entry of the remaining block; reducing column t, then row t, by
+    nearest quotients hands its least nonzero remainder on as the next pivot.
+    A remainder is at most half the pivot, so the pivots shrink and the corner
+    ends; taking the least, not the first, keeps dense input's entries small.
 
     With `width`, only the first `width` columns are eliminated. The factors
     are then those of m exactly when every later column is an integer
@@ -144,21 +104,39 @@ def smith_normal_form(m: IntMatrix, *, width: int | None = None) -> SnfResult:
     a = [list(r) for r in dict.fromkeys(m.row(i)[:ncols] for i in range(m.rows)) if any(r)]
     nrows = len(a)
     diag: list[int] = []
-    for t in range(min(nrows, ncols)):
-        pos = _min_abs_nonzero(a, t, nrows, ncols)
-        if pos is None:
-            break
+    t, pos = 0, _min_abs_nonzero(a, 0, nrows, ncols)
+    while pos is not None:
         i0, j0 = pos
         if i0 != t:
             a[t], a[i0] = a[i0], a[t]
         if j0 != t:
             for row in a:
                 row[t], row[j0] = row[j0], row[t]
-        _clear_corner(a, t, nrows, ncols)
-        diag.append(abs(a[t][t]))
+        trow, p = a[t], a[t][t]
+        pos, best = None, 0
+        for i in range(t + 1, nrows):
+            row = a[i]
+            if row[t]:
+                q = _nearest_div(row[t], p)
+                if q:
+                    for j in range(t, ncols):
+                        if trow[j]:
+                            row[j] -= q * trow[j]
+                if row[t] and (not best or abs(row[t]) < best):
+                    pos, best = (i, t), abs(row[t])
+        if pos is None:
+            # column t is now (p, 0, ..., 0); a column op changes row t only
+            for j in range(t + 1, ncols):
+                trow[j] -= _nearest_div(trow[j], p) * p
+                if trow[j] and (not best or abs(trow[j]) < best):
+                    pos, best = (t, j), abs(trow[j])
+        if pos is None:
+            diag.append(abs(p))
+            t += 1
+            pos = _min_abs_nonzero(a, t, nrows, ncols)
     return SnfResult(tuple(_divisibility_fixup(diag)))
 
 
-def rank_via_snf(m: IntMatrix, *, width: int | None = None) -> int:
-    """Rank as the number of invariant factors (`width` as in smith_normal_form)."""
-    return smith_normal_form(m, width=width).rank
+def rank_via_snf(m: IntMatrix) -> int:
+    """Rank as the number of invariant factors of m, all of its columns eliminated."""
+    return smith_normal_form(m).rank

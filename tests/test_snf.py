@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations
 from math import gcd
 
@@ -7,7 +8,7 @@ import pytest
 from builders import det_cofactor, random_matrix, w8
 from d8_data import W8_FACTORS, W8_PRIME_ROWS, W8_RANK
 from walkrank.graphs import adjacency_matrix, make_dynkin, make_extended_dynkin, make_path
-from walkrank.intmatrix import IntMatrix, det_exact, walk_matrix
+from walkrank.intmatrix import IntMatrix, det_exact, rank_fraction_free, walk_matrix
 from walkrank.quotient import build_w_prime, hat_walk_matrix
 from walkrank.snf import SnfResult, count_distinct_nonzero_rows, rank_via_snf, smith_normal_form
 
@@ -114,6 +115,22 @@ class TestSmithNormalForm:
                 prod *= d
             assert prod == abs(det)
 
+    def test_dense_input_keeps_its_entries_small(self):
+        # a dense 38x38 block with entries in -9..9, whose last factor has
+        # under 200 bits: a pivot rule that lets the entries grow (past a
+        # million bits here) takes seconds
+        rng = random.Random(1)
+        m = IntMatrix(38, 38, [rng.randint(-9, 9) for _ in range(38 * 38)])
+        start = time.perf_counter()
+        result = smith_normal_form(m)
+        elapsed = time.perf_counter() - start
+        prod = 1
+        for d in result.invariant_factors:
+            prod *= d
+        assert prod == abs(det_exact(m))
+        assert result.rank == rank_fraction_free(m)
+        assert elapsed < 1.0, f"{elapsed:.2f} s"
+
     def test_idempotent_on_own_diagonal(self):
         rng = random.Random(8)
         for _ in range(30):
@@ -165,7 +182,6 @@ class TestWidth:
             for m in (w, build_w_prime(hat_walk_matrix(w))):
                 cut = smith_normal_form(m, width=width)
                 assert cut == smith_normal_form(m), f"{family.__name__}({n})"
-                assert rank_via_snf(m, width=width) == cut.rank
 
     @pytest.mark.parametrize(
         "family, first",
@@ -208,8 +224,6 @@ class TestWidth:
     def test_rejects_a_width_below_one(self, width):
         with pytest.raises(ValueError, match="width must be >= 1"):
             smith_normal_form(w8(), width=width)
-        with pytest.raises(ValueError, match="width must be >= 1"):
-            rank_via_snf(w8(), width=width)
 
 
 class TestIntegralEquivalence:

@@ -84,6 +84,17 @@ MUTANTS = [
         "rank_wprime = rank_fraction_free(build_w_prime(order.hat))",
         "rank_wprime = rank_w",
     ),
+    # the SNF loop: each pass hands its least remainder on as the next pivot
+    (
+        "walkrank/snf.py",
+        "if row[t] and (not best or abs(row[t]) < best):",
+        "if False:",
+    ),
+    (
+        "walkrank/snf.py",
+        "if trow[j] and (not best or abs(trow[j]) < best):",
+        "if False:",
+    ),
     # the implicit-shift QL kernel: z's rotation, the shift and the deflation test
     (
         "walkrank/spectra.py",
