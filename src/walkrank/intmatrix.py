@@ -6,6 +6,7 @@ overflow no matter how fast walk counts grow.
 
 from __future__ import annotations
 
+from itertools import chain, compress
 from typing import Callable, Sequence
 
 
@@ -55,7 +56,7 @@ class IntMatrix:
         for r in rows:
             if len(r) != width:
                 raise ValueError("all rows must have the same length")
-        return cls(len(rows), width, [x for r in rows for x in r])
+        return cls(len(rows), width, list(chain.from_iterable(rows)))
 
     @classmethod
     def identity(cls, k: int) -> "IntMatrix":
@@ -79,20 +80,23 @@ class IntMatrix:
         return [list(self._data[i * c : (i + 1) * c]) for i in range(self.rows)]
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
+        """The product, found from the nonzero entries of both operands:
+        a * y is added to entry (i, j) for each nonzero a = self[i, k] and
+        y = other[k, j], so the work is O(nnz) for sparse operands such as
+        the adjacency, characteristic and divisor matrices."""
         if not isinstance(other, IntMatrix):
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        # row i of the product is the sum of a * (row k of other) over the
-        # nonzero entries a = self[i, k]
-        brows = [other.row(k) for k in range(other.rows)]
+        right = row_support(other)
         out: list[int] = []
         for support in row_support(self):
             acc = [0] * other.cols
             for k, a in support:
-                acc = [x + a * y for x, y in zip(acc, brows[k])]
+                for j, y in right[k]:
+                    acc[j] += a * y
             out.extend(acc)
         return IntMatrix(self.rows, other.cols, out)
 
@@ -111,12 +115,15 @@ class IntMatrix:
 
 
 def row_support(m: IntMatrix) -> list[list[tuple[int, int]]]:
-    """Per row, the (column, value) pairs of its nonzero entries.
+    """Per row, the (column, value) pairs of its nonzero entries, in
+    increasing column order.
 
     Adjacency, characteristic and divisor matrices are mostly zeros, so
-    products that walk this skip almost all of the work.
+    products that walk this skip almost all of the work. The nonzero columns
+    are picked by itertools.compress, so the Python loop visits only them.
     """
-    return [[(j, val) for j, val in enumerate(m.row(i)) if val] for i in range(m.rows)]
+    cols = range(m.cols)
+    return [[(j, row[j]) for j in compress(cols, row)] for row in map(m.row, range(m.rows))]
 
 
 def walk_matrix(m: IntMatrix) -> IntMatrix:
@@ -138,7 +145,7 @@ def walk_matrix(m: IntMatrix) -> IntMatrix:
             nxt.append(acc)
         v = nxt
         cols.append(v)
-    return IntMatrix(k, k, [x for row in zip(*cols) for x in row])
+    return IntMatrix(k, k, list(chain.from_iterable(zip(*cols))))
 
 
 def _pick_pivot(a: list[list[int]], col: int, start: int, nrows: int) -> int:

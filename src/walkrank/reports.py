@@ -25,7 +25,7 @@ from .quotient import (
     divisor_matrix,
     hat_walk_matrix,
 )
-from .snf import SnfResult, count_distinct_nonzero_rows, smith_normal_form
+from .snf import SnfResult, distinct_nonzero_rows, smith_normal_form
 from .spectra import (
     count_main_eigenvalues,
     divisor_eigenpairs,
@@ -138,11 +138,16 @@ class _Order:
         return self.timed("divisor", divisor_matrix, self.graph, self.partition)
 
     @cached_property
+    def w_rows(self) -> list[tuple[int, ...]]:
+        """W's distinct nonzero rows cut at the width of SNF(W)."""
+        return self.timed("snf_w", _distinct_rows_cut, self.w)
+
+    @cached_property
     def snf_width(self) -> int:
         """Columns of W that its SNF needs: W's distinct nonzero rows bound
         its rank. W' is cut at the same width, never at a count of its own:
         it is no walk matrix, so only W's column relations justify its cut."""
-        return self.timed("snf_w", count_distinct_nonzero_rows, self.w)
+        return len(self.w_rows)
 
     @cached_property
     def snf_w(self) -> SnfResult:
@@ -162,6 +167,28 @@ class _Order:
 def _ap_equals_pb(n: int, adj: IntMatrix, b: IntMatrix, partition: EquitablePartition) -> bool:
     p_mat = characteristic_matrix(partition, n + 1)
     return adj @ p_mat == p_mat @ b
+
+
+def _distinct_rows_cut(w: IntMatrix) -> list[tuple[int, ...]]:
+    """W's distinct nonzero rows in order of first occurrence, each cut at
+    their count, the width of SNF(W)."""
+    rows = distinct_nonzero_rows(map(w.row, range(w.rows)))
+    return [r[: len(rows)] for r in rows]
+
+
+def _snf_of_trim(hat: IntMatrix, w_rows: list[tuple[int, ...]], snf_w: SnfResult) -> SnfResult:
+    """SNF(W'), from the trim cut at W's width, the length of w_rows.
+
+    smith_normal_form reads only the distinct nonzero rows of its input cut
+    at the width, in order of first occurrence. When the trim's list equals
+    w_rows, W's distinct nonzero rows cut at the width, that list holds no
+    repeat and no zero row, so it is also the list SNF(W) eliminated, and
+    SNF(W) is returned. Any other trim is eliminated at W's width.
+    """
+    width = len(w_rows)
+    if distinct_nonzero_rows(hat.row(i)[:width] for i in range(hat.rows)) == w_rows:
+        return snf_w
+    return smith_normal_form(hat, width=width)
 
 
 def _eigenpairs_ok(n: int, b: IntMatrix) -> bool:
@@ -196,7 +223,7 @@ def _check_order(order: _Order, checks: Iterable[str]) -> ScanRow:
 
     if "snf-equiv" in checks:
         rep.snf_wprime = order.timed(
-            "snf_wprime", smith_normal_form, order.hat, width=order.snf_width
+            "snf_wprime", _snf_of_trim, order.hat, order.w_rows, order.snf_w
         ).invariant_factors
         rep.integrally_equiv = order.snf_w.invariant_factors == rep.snf_wprime
         passed["snf-equiv"] = rep.integrally_equiv
@@ -222,7 +249,10 @@ def run_checks(n: int, checks: Iterable[str] = ALL_CHECKS) -> ScanRow:
     Only the machinery a selected check needs is built, so exact-only scans
     never touch the floating-point code paths. The timings hold one key per
     stage, in milliseconds: graph, walk_matrix, divisor, snf_w, rank_bareiss,
-    ap_pb, hat, snf_wprime, main_eigenvalues and eigpairs.
+    ap_pb, hat, snf_wprime, main_eigenvalues and eigpairs. snf_wprime times
+    the comparison of the trim's distinct nonzero rows, cut at W's width,
+    with W's; SNF(W') is SNF(W) when they match, and the trim's own SNF at
+    W's width, timed there too, when they differ.
     """
     return _check_order(_Order(n), checks)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from typing import Iterable
 
 from .intmatrix import IntMatrix, check_int
 
@@ -66,11 +67,16 @@ def _divisibility_fixup(diag: list[int]) -> list[int]:
     return d
 
 
+def distinct_nonzero_rows(rows: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The first copy of each nonzero row, in order of first occurrence."""
+    return [r for r in dict.fromkeys(rows) if any(r)]
+
+
 def count_distinct_nonzero_rows(m: IntMatrix) -> int:
     """Number of distinct nonzero rows of m, an upper bound on its rank that
     takes no elimination; for a walk matrix it is a `width` at which
     `smith_normal_form` may cut."""
-    return sum(1 for r in dict.fromkeys(map(m.row, range(m.rows))) if any(r))
+    return len(distinct_nonzero_rows(map(m.row, range(m.rows))))
 
 
 def smith_normal_form(m: IntMatrix, *, width: int | None = None) -> SnfResult:
@@ -78,13 +84,16 @@ def smith_normal_form(m: IntMatrix, *, width: int | None = None) -> SnfResult:
 
     Works on the distinct nonzero rows of m only: subtracting a row from its
     copy is a unimodular operation that leaves a zero row, and zero rows add
-    no invariant factor, so the factors are those of m. Diagonalizes with
-    elementary (unimodular) row and column operations, then repairs the
-    divisibility chain on the diagonal. Each corner t starts from the least
-    nonzero entry of the remaining block; reducing column t, then row t, by
-    nearest quotients hands its least nonzero remainder on as the next pivot.
-    A remainder is at most half the pivot, so the pivots shrink and the corner
-    ends; taking the least, not the first, keeps dense input's entries small.
+    no invariant factor, so the factors are those of m. Nothing else of m is
+    read: two matrices whose distinct nonzero rows, cut at the width, form
+    the same list in order of first occurrence get the same factors, by the
+    same steps. Diagonalizes with elementary (unimodular) row and column
+    operations, then repairs the divisibility chain on the diagonal. Each
+    corner t starts from the least nonzero entry of the remaining block;
+    reducing column t, then row t, by nearest quotients hands its least
+    nonzero remainder on as the next pivot. A remainder is at most half the
+    pivot, so the pivots shrink and the corner ends; taking the least, not
+    the first, keeps dense input's entries small.
 
     With `width`, only the first `width` columns are eliminated. The factors
     are then those of m exactly when every later column is an integer
@@ -101,7 +110,7 @@ def smith_normal_form(m: IntMatrix, *, width: int | None = None) -> SnfResult:
     if width is not None:
         check_int(width, "width", 1)
         ncols = min(width, ncols)
-    a = [list(r) for r in dict.fromkeys(m.row(i)[:ncols] for i in range(m.rows)) if any(r)]
+    a = list(map(list, distinct_nonzero_rows(m.row(i)[:ncols] for i in range(m.rows))))
     nrows = len(a)
     diag: list[int] = []
     t, pos = 0, _min_abs_nonzero(a, 0, nrows, ncols)

@@ -16,6 +16,7 @@ from walkrank.intmatrix import (
     parse_matrix_text,
     rank_fraction_free,
     rank_modular,
+    row_support,
     walk_matrix,
 )
 from walkrank.quotient import canonical_partition, divisor_matrix
@@ -156,6 +157,52 @@ class TestIntMatrix:
     def test_matmul_shape_error(self):
         with pytest.raises(ValueError):
             IntMatrix.identity(2) @ IntMatrix.identity(3)
+
+
+def _seeded_pair(seed, kind, rows, inner, cols):
+    """Row lists of a rows x inner and an inner x cols matrix: sparse entries
+    are mostly 0 with the rest in -2..2, dense ones uniform in -9..9. One row
+    of the left factor and one column of the right are all zero."""
+    rng = random.Random(seed)
+    values = (0, 0, 0, 0, 0, -2, -1, 1, 2) if kind == "sparse" else range(-9, 10)
+    a = [[rng.choice(values) for _ in range(inner)] for _ in range(rows)]
+    b = [[rng.choice(values) for _ in range(cols)] for _ in range(inner)]
+    a[rng.randrange(rows)] = [0] * inner
+    zero_col = rng.randrange(cols)
+    for r in b:
+        r[zero_col] = 0
+    return a, b
+
+
+class TestSparseKernels:
+    """__matmul__ and row_support against plain dense loops."""
+
+    SHAPES = [(1, 1, 1), (1, 6, 1), (6, 1, 6), (2, 5, 7), (7, 5, 2), (4, 9, 3), (12, 12, 12)]
+
+    @pytest.mark.parametrize("kind", ["sparse", "dense"])
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "x".join(map(str, s)))
+    def test_matmul_equals_a_triple_loop(self, kind, shape):
+        rows, inner, cols = shape
+        for seed in range(10):
+            a, b = _seeded_pair(seed, kind, rows, inner, cols)
+            want = [[0] * cols for _ in range(rows)]
+            for i in range(rows):
+                for j in range(cols):
+                    for k in range(inner):
+                        want[i][j] += a[i][k] * b[k][j]
+            assert (IntMatrix.from_rows(a) @ IntMatrix.from_rows(b)).to_rows() == want
+
+    @pytest.mark.parametrize("kind", ["sparse", "dense"])
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "x".join(map(str, s)))
+    def test_row_support_equals_a_dense_scan(self, kind, shape):
+        rows, inner, cols = shape
+        for seed in range(10):
+            for m in map(IntMatrix.from_rows, _seeded_pair(seed, kind, rows, inner, cols)):
+                want = [[(j, x) for j, x in enumerate(r) if x] for r in m.to_rows()]
+                assert row_support(m) == want
+
+    def test_row_support_of_a_zero_row_is_empty(self):
+        assert row_support(IntMatrix.from_rows([[0, 0, 0], [0, -3, 0]])) == [[], [(1, -3)]]
 
 
 class TestWalkMatrix:

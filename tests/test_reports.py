@@ -37,6 +37,14 @@ from walkrank.snf import SnfResult, count_distinct_nonzero_rows, smith_normal_fo
 from walkrank.spectra import divisor_eigenpairs, eigenpair_residual
 
 
+def _trim_one_entry_off(w):
+    """The trim of w with entry (0, 1) raised by one: its first row, a leaf's,
+    then repeats no row of W, so its distinct rows are no longer W's."""
+    rows = hat_walk_matrix(w).to_rows()
+    rows[0][1] += 1
+    return IntMatrix.from_rows(rows)
+
+
 class TestVerify:
     def test_order8(self):
         rep = verify(8)
@@ -123,26 +131,27 @@ class TestVerify:
 
     @pytest.mark.parametrize("checks", [ALL_CHECKS, ("snf-equiv",)])
     def test_w_and_w_prime_are_cut_at_the_width_of_w(self, monkeypatch, checks):
-        counted, seen = [], []
-
-        def count(m):
-            counted.append(m)
-            return count_distinct_nonzero_rows(m)
+        seen = []
 
         def spy(m, *, width=None):
             seen.append((m, width))
             return smith_normal_form(m, width=width)
 
-        monkeypatch.setattr(reports, "count_distinct_nonzero_rows", count)
         monkeypatch.setattr(reports, "smith_normal_form", spy)
         n = 12
-        run_checks(n, checks)
         w = walk_matrix(adjacency_matrix(make_extended_dynkin(n)))
-        # SNF(W') is taken from the trim, which has as many distinct rows as W
-        # here, so only the count's input shows that W' is cut at W's width, as
-        # the proof needs, and not at its own
-        assert counted == [w]
-        assert seen == [(w, n // 2), (hat_walk_matrix(w), n // 2)]
+        # the trim's distinct rows cut at W's width are W's, so SNF(W') is
+        # read from SNF(W) and no second elimination runs
+        run_checks(n, checks)
+        assert seen == [(w, n // 2)]
+        # a trim with other rows is eliminated at W's width, not at its own
+        # count of distinct nonzero rows, as the proof needs
+        bad_trim = _trim_one_entry_off(w)
+        assert count_distinct_nonzero_rows(bad_trim) != n // 2
+        monkeypatch.setattr(reports, "hat_walk_matrix", _trim_one_entry_off)
+        seen.clear()
+        run_checks(n, checks)
+        assert seen == [(w, n // 2), (bad_trim, n // 2)]
 
 
 class TestConjectureCheck:
@@ -231,6 +240,14 @@ class TestRunChecks:
         row = run_checks(8, ("hat",))
         assert row.report.hat_equals_wb is True
         assert row.passed == {"hat": False}
+
+    def test_snf_equiv_fails_when_one_entry_of_the_trim_changes(self, monkeypatch):
+        monkeypatch.setattr(reports, "hat_walk_matrix", _trim_one_entry_off)
+        row = run_checks(12, ("snf-equiv",))
+        assert row.report.snf_w == (1, 1, 1, 1, 1, 11)
+        assert row.report.snf_wprime == (1, 1, 1, 1, 1, 1)
+        assert row.report.integrally_equiv is False
+        assert row.passed == {"snf-equiv": False}
 
     def test_eigpairs_fails_when_only_the_dot_pattern_breaks(self, monkeypatch):
         # twice an eigenvector is one, but its entries sum to twice the pattern
@@ -337,6 +354,35 @@ class TestRunChecks:
         steps = next(reads) - start - 1
         assert sum(timings.values()) <= 1000.0 * steps / 2
         assert {"walk_matrix", "divisor", "ap_pb", "hat"} <= set(timings)
+
+    def test_snf_wprime_is_timed_apart_from_its_inputs(self, monkeypatch):
+        # as above: the trim, W's rows and SNF(W) are built before the
+        # snf_wprime clock starts, or the stages would overlap
+        reads = itertools.count()
+        monkeypatch.setattr(reports, "time", SimpleNamespace(perf_counter=lambda: next(reads)))
+        start = next(reads)
+        timings = run_checks(12, ["snf-equiv"]).report.timings
+        steps = next(reads) - start - 1
+        assert sum(timings.values()) <= 1000.0 * steps / 2
+        assert {"walk_matrix", "snf_w", "hat", "snf_wprime"} <= set(timings)
+
+    def test_snf_wprime_equals_the_trims_own_snf(self, monkeypatch):
+        # the trim's distinct rows cut at W's width are W's at every order
+        # here, so one SNF per order runs, and its factors are the trim's
+        calls = []
+
+        def spy(m, *, width=None):
+            calls.append(m)
+            return smith_normal_form(m, width=width)
+
+        monkeypatch.setattr(reports, "smith_normal_form", spy)
+        for n in range(4, 41):
+            w = walk_matrix(adjacency_matrix(make_extended_dynkin(n)))
+            calls.clear()
+            rep = run_checks(n, ("snf-equiv",)).report
+            assert calls == [w], n
+            trim = smith_normal_form(hat_walk_matrix(w), width=count_distinct_nonzero_rows(w))
+            assert rep.snf_wprime == trim.invariant_factors, n
 
     def test_one_trim_per_order(self, monkeypatch):
         # wrap the trim under every name a walkrank module can call it by

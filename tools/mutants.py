@@ -116,6 +116,12 @@ MUTANTS = [
         "while abs(e[m]) > _EPS * tst1:",
         "while abs(e[m]) > 1e-6 * tst1:",
     ),
+    # SNF(W') is read from SNF(W) only when the trim's cut rows are W's
+    (
+        "walkrank/reports.py",
+        "if distinct_nonzero_rows(hat.row(i)[:width] for i in range(hat.rows)) == w_rows:",
+        "if True:",
+    ),
     # the one home of the rule that an integer argument is exactly an int
     (
         "walkrank/intmatrix.py",
