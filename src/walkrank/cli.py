@@ -43,7 +43,7 @@ from .reports import (
     scan,
     verify,
 )
-from .snf import count_distinct_nonzero_rows, smith_normal_form
+from .snf import smith_normal_form, walk_core
 from .spectra import _GROUP_TOL, _PROJ_TOL, ConvergenceError, count_main_eigenvalues
 
 FAMILIES = {
@@ -85,15 +85,16 @@ def _load_graph(source: str) -> Graph:
     return g if g is not None else parse_edge_list(_file_text(source))
 
 
-def _load_matrix(source: str) -> tuple[IntMatrix, int | None]:
-    """The matrix a source names, and the width its SNF may be cut at: for a
-    family spec, the walk matrix and its count of distinct nonzero rows (see
-    smith_normal_form); for a file, no cut."""
+def _load_matrix(source: str) -> tuple[IntMatrix, IntMatrix]:
+    """The matrix a source names, and the matrix its SNF eliminates: for a
+    family spec, the walk matrix W and walk_core(W), which has W's factors;
+    for a file, the matrix itself twice, uncut."""
     g = _family_graph(source)
     if g is None:
-        return parse_matrix_text(_file_text(source)), None
+        m = parse_matrix_text(_file_text(source))
+        return m, m
     w = walk_matrix(adjacency_matrix(g))
-    return w, count_distinct_nonzero_rows(w)
+    return w, walk_core(w)
 
 
 def _print_aligned(m: IntMatrix) -> None:
@@ -122,10 +123,10 @@ def cmd_walk(args: argparse.Namespace) -> int:
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
-    m, width = _load_matrix(args.source)
+    m, core = _load_matrix(args.source)
     method = args.method
     if method == "snf":
-        r = smith_normal_form(m, width=width).rank
+        r = smith_normal_form(core).rank
     elif method == "bareiss":
         r = rank_fraction_free(m)
     elif method.startswith("mod:"):
@@ -137,8 +138,8 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
 
 def cmd_snf(args: argparse.Namespace) -> int:
-    m, width = _load_matrix(args.source)
-    result = smith_normal_form(m, width=width)
+    m, core = _load_matrix(args.source)
+    result = smith_normal_form(core)
     factors = result.invariant_factors
     print(",".join(str(d) for d in factors))
     padded = list(factors) + [0] * (min(m.rows, m.cols) - result.rank)

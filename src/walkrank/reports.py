@@ -25,7 +25,7 @@ from .quotient import (
     divisor_matrix,
     hat_walk_matrix,
 )
-from .snf import SnfResult, distinct_nonzero_rows, smith_normal_form
+from .snf import SnfResult, distinct_nonzero_rows, smith_normal_form, walk_core
 from .spectra import (
     count_main_eigenvalues,
     divisor_eigenpairs,
@@ -138,20 +138,13 @@ class _Order:
         return self.timed("divisor", divisor_matrix, self.graph, self.partition)
 
     @cached_property
-    def w_rows(self) -> list[tuple[int, ...]]:
-        """W's distinct nonzero rows cut at the width of SNF(W)."""
-        return self.timed("snf_w", _distinct_rows_cut, self.w)
-
-    @cached_property
-    def snf_width(self) -> int:
-        """Columns of W that its SNF needs: W's distinct nonzero rows bound
-        its rank. W' is cut at the same width, never at a count of its own:
-        it is no walk matrix, so only W's column relations justify its cut."""
-        return len(self.w_rows)
+    def core(self) -> IntMatrix:
+        """walk_core(W), the d x d matrix that SNF(W) eliminates."""
+        return self.timed("snf_w", walk_core, self.w)
 
     @cached_property
     def snf_w(self) -> SnfResult:
-        return self.timed("snf_w", smith_normal_form, self.w, width=self.snf_width)
+        return self.timed("snf_w", smith_normal_form, self.core)
 
     @cached_property
     def hat(self) -> IntMatrix:
@@ -169,26 +162,17 @@ def _ap_equals_pb(n: int, adj: IntMatrix, b: IntMatrix, partition: EquitablePart
     return adj @ p_mat == p_mat @ b
 
 
-def _distinct_rows_cut(w: IntMatrix) -> list[tuple[int, ...]]:
-    """W's distinct nonzero rows in order of first occurrence, each cut at
-    their count, the width of SNF(W)."""
-    rows = distinct_nonzero_rows(map(w.row, range(w.rows)))
-    return [r[: len(rows)] for r in rows]
-
-
-def _snf_of_trim(hat: IntMatrix, w_rows: list[tuple[int, ...]], snf_w: SnfResult) -> SnfResult:
-    """SNF(W'), from the trim cut at W's width, the length of w_rows.
-
-    smith_normal_form reads only the distinct nonzero rows of its input cut
-    at the width, in order of first occurrence. When the trim's list equals
-    w_rows, W's distinct nonzero rows cut at the width, that list holds no
-    repeat and no zero row, so it is also the list SNF(W) eliminated, and
-    SNF(W) is returned. Any other trim is eliminated at W's width.
+def _snf_of_trim(hat: IntMatrix, core: IntMatrix, snf_w: SnfResult) -> SnfResult:
+    """SNF(W'): the SNF of the trim's distinct nonzero rows cut at W's width
+    core.cols (walk_core says why). When that list is the core's rows, it is
+    the list SNF(W) eliminated, and SNF(W) is returned; any other list is
+    eliminated on its own. It is never empty: column 0 of a walk matrix is
+    all ones.
     """
-    width = len(w_rows)
-    if distinct_nonzero_rows(hat.row(i)[:width] for i in range(hat.rows)) == w_rows:
+    rows = distinct_nonzero_rows(hat.row(i)[: core.cols] for i in range(hat.rows))
+    if rows == list(map(core.row, range(core.rows))):
         return snf_w
-    return smith_normal_form(hat, width=width)
+    return smith_normal_form(IntMatrix.from_rows(rows))
 
 
 def _eigenpairs_ok(n: int, b: IntMatrix) -> bool:
@@ -223,7 +207,7 @@ def _check_order(order: _Order, checks: Iterable[str]) -> ScanRow:
 
     if "snf-equiv" in checks:
         rep.snf_wprime = order.timed(
-            "snf_wprime", _snf_of_trim, order.hat, order.w_rows, order.snf_w
+            "snf_wprime", _snf_of_trim, order.hat, order.core, order.snf_w
         ).invariant_factors
         rep.integrally_equiv = order.snf_w.invariant_factors == rep.snf_wprime
         passed["snf-equiv"] = rep.integrally_equiv
@@ -249,10 +233,11 @@ def run_checks(n: int, checks: Iterable[str] = ALL_CHECKS) -> ScanRow:
     Only the machinery a selected check needs is built, so exact-only scans
     never touch the floating-point code paths. The timings hold one key per
     stage, in milliseconds: graph, walk_matrix, divisor, snf_w, rank_bareiss,
-    ap_pb, hat, snf_wprime, main_eigenvalues and eigpairs. snf_wprime times
-    the comparison of the trim's distinct nonzero rows, cut at W's width,
-    with W's; SNF(W') is SNF(W) when they match, and the trim's own SNF at
-    W's width, timed there too, when they differ.
+    ap_pb, hat, snf_wprime, main_eigenvalues and eigpairs. snf_w times
+    walk_core(W) and its SNF. snf_wprime times the comparison of the trim's
+    distinct nonzero rows, cut at the core's width, with the core's rows;
+    SNF(W') is SNF(W) when they match, and the SNF of the trim's cut rows,
+    timed there too, when they differ.
     """
     return _check_order(_Order(n), checks)
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable
 
-from .intmatrix import IntMatrix, check_int
+from .intmatrix import IntMatrix
 
 
 @dataclass(frozen=True)
@@ -72,45 +72,43 @@ def distinct_nonzero_rows(rows: Iterable[tuple[int, ...]]) -> list[tuple[int, ..
     return [r for r in dict.fromkeys(rows) if any(r)]
 
 
-def count_distinct_nonzero_rows(m: IntMatrix) -> int:
-    """Number of distinct nonzero rows of m, an upper bound on its rank that
-    takes no elimination; for a walk matrix it is a `width` at which
-    `smith_normal_form` may cut."""
-    return len(distinct_nonzero_rows(map(m.row, range(m.rows))))
+def walk_core(w: IntMatrix) -> IntMatrix:
+    """W's distinct nonzero rows, in order of first occurrence, each cut at
+    their count d: for a walk matrix, a d x d matrix with W's invariant factors.
+
+    smith_normal_form drops repeated and zero rows on its own; the cut keeps
+    the factors too. For any Krylov matrix K = [v, Av, A^2 v, ...] of an
+    integer A, the walk matrix W = [1, A1, A^2 1, ...] among them, the
+    minimal polynomial of v under A is monic over Z (Gauss's lemma), so the
+    columns from rank K <= d on are integer combinations of earlier ones, on
+    any subset of K's rows. So W's d also serves its trim and W' (the trim
+    plus zero rows and columns); those are no walk matrices, and are never
+    cut at a count of their own. A matrix with no nonzero row raises
+    ValueError.
+    """
+    rows = distinct_nonzero_rows(map(w.row, range(w.rows)))
+    return IntMatrix.from_rows([r[: len(rows)] for r in rows])
 
 
-def smith_normal_form(m: IntMatrix, *, width: int | None = None) -> SnfResult:
+def smith_normal_form(m: IntMatrix) -> SnfResult:
     """Invariant factors of any rectangular integer matrix.
 
     Works on the distinct nonzero rows of m only: subtracting a row from its
     copy is a unimodular operation that leaves a zero row, and zero rows add
     no invariant factor, so the factors are those of m. Nothing else of m is
-    read: two matrices whose distinct nonzero rows, cut at the width, form
-    the same list in order of first occurrence get the same factors, by the
-    same steps. Diagonalizes with elementary (unimodular) row and column
-    operations, then repairs the divisibility chain on the diagonal. Each
-    corner t starts from the least nonzero entry of the remaining block;
-    reducing column t, then row t, by nearest quotients hands its least
-    nonzero remainder on as the next pivot. A remainder is at most half the
-    pivot, so the pivots shrink and the corner ends; taking the least, not
-    the first, keeps dense input's entries small.
-
-    With `width`, only the first `width` columns are eliminated. The factors
-    are then those of m exactly when every later column is an integer
-    combination of the first `width`. That holds for a walk matrix
-    W = [1, A1, A^2 1, ...] of an integer A at every width >= rank W, such as
-    W's count of distinct nonzero rows: the minimal polynomial of 1 under A
-    is monic with integer coefficients (Gauss's lemma), so the column A^r 1
-    with r = rank W, and each later one, is an integer combination of the
-    columns before it. The same relations hold on any subset of W's rows, so
-    W's width also serves its trim, and W' (the trim plus zero rows and
-    columns). The width is checked by check_int, and must be at least 1.
+    read: two matrices whose distinct nonzero rows form the same list in
+    order of first occurrence get the same factors, by the same steps.
+    Every column is eliminated; a walk matrix is cut first by walk_core.
+    Diagonalizes with elementary (unimodular) row and column operations,
+    then repairs the divisibility chain on the diagonal. Each corner t
+    starts from the least nonzero entry of the remaining block; reducing
+    column t, then row t, by nearest quotients hands its least nonzero
+    remainder on as the next pivot. A remainder is at most half the pivot,
+    so the pivots shrink and the corner ends; taking the least, not the
+    first, keeps dense input's entries small.
     """
     ncols = m.cols
-    if width is not None:
-        check_int(width, "width", 1)
-        ncols = min(width, ncols)
-    a = list(map(list, distinct_nonzero_rows(m.row(i)[:ncols] for i in range(m.rows))))
+    a = list(map(list, distinct_nonzero_rows(map(m.row, range(m.rows)))))
     nrows = len(a)
     diag: list[int] = []
     t, pos = 0, _min_abs_nonzero(a, 0, nrows, ncols)

@@ -160,12 +160,12 @@ class TestSnf:
 
     @pytest.mark.parametrize("command", [["snf"], ["rank", "--method", "snf"]])
     def test_a_family_spec_is_cut_and_a_file_is_not(self, tmp_path, capsys, monkeypatch, command):
-        widths = []
+        shapes = []
         real = snf.smith_normal_form
 
-        def spy(m, *, width=None):
-            widths.append(width)
-            return real(m, width=width)
+        def spy(m):
+            shapes.append((m.rows, m.cols))
+            return real(m)
 
         monkeypatch.setattr(cli, "smith_normal_form", spy)
         monkeypatch.setattr(snf, "smith_normal_form", spy)
@@ -176,8 +176,9 @@ class TestSnf:
             code, out, _ = run_cli(capsys, command[0], source, *command[1:])
             assert code == 0
             outs.append(out)
-        # distinct rows of W: a mirror halves D̃_9 and P_9, and D_9 swaps two leaves only
-        assert widths == [4, 5, 8, None]
+        # a family's core is d x d, d its count of distinct rows of W: a mirror halves
+        # D̃_9 and P_9, and D_9 swaps two leaves only; a file is eliminated whole
+        assert shapes == [(4, 4), (5, 5), (8, 8), (10, 10)]
         assert outs[0] == outs[3]
 
 

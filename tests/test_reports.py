@@ -33,7 +33,7 @@ from walkrank.reports import (
     scan,
     verify,
 )
-from walkrank.snf import SnfResult, count_distinct_nonzero_rows, smith_normal_form
+from walkrank.snf import SnfResult, distinct_nonzero_rows, smith_normal_form, walk_core
 from walkrank.spectra import divisor_eigenpairs, eigenpair_residual
 
 
@@ -133,25 +133,28 @@ class TestVerify:
     def test_w_and_w_prime_are_cut_at_the_width_of_w(self, monkeypatch, checks):
         seen = []
 
-        def spy(m, *, width=None):
-            seen.append((m, width))
-            return smith_normal_form(m, width=width)
+        def spy(m):
+            seen.append(m)
+            return smith_normal_form(m)
 
         monkeypatch.setattr(reports, "smith_normal_form", spy)
         n = 12
         w = walk_matrix(adjacency_matrix(make_extended_dynkin(n)))
+        core = walk_core(w)
+        assert (core.rows, core.cols) == (n // 2, n // 2)
         # the trim's distinct rows cut at W's width are W's, so SNF(W') is
         # read from SNF(W) and no second elimination runs
         run_checks(n, checks)
-        assert seen == [(w, n // 2)]
+        assert seen == [core]
         # a trim with other rows is eliminated at W's width, not at its own
         # count of distinct nonzero rows, as the proof needs
         bad_trim = _trim_one_entry_off(w)
-        assert count_distinct_nonzero_rows(bad_trim) != n // 2
+        assert walk_core(bad_trim).cols != n // 2
+        cut = distinct_nonzero_rows(bad_trim.row(i)[: n // 2] for i in range(bad_trim.rows))
         monkeypatch.setattr(reports, "hat_walk_matrix", _trim_one_entry_off)
         seen.clear()
         run_checks(n, checks)
-        assert seen == [(w, n // 2), (bad_trim, n // 2)]
+        assert seen == [core, IntMatrix.from_rows(cut)]
 
 
 class TestConjectureCheck:
@@ -307,8 +310,8 @@ class TestRunChecks:
             monkeypatch.setattr(reports, "rank_fraction_free", lambda m: rank_fraction_free(m) + 1)
         elif fault == "snf short of its last factor":
 
-            def short(m, *, width=None):
-                return SnfResult(smith_normal_form(m, width=width).invariant_factors[:-1])
+            def short(m):
+                return SnfResult(smith_normal_form(m).invariant_factors[:-1])
 
             monkeypatch.setattr(reports, "smith_normal_form", short)
         for n in (4, 5, 8):
@@ -371,17 +374,19 @@ class TestRunChecks:
         # here, so one SNF per order runs, and its factors are the trim's
         calls = []
 
-        def spy(m, *, width=None):
+        def spy(m):
             calls.append(m)
-            return smith_normal_form(m, width=width)
+            return smith_normal_form(m)
 
         monkeypatch.setattr(reports, "smith_normal_form", spy)
         for n in range(4, 41):
             w = walk_matrix(adjacency_matrix(make_extended_dynkin(n)))
+            core = walk_core(w)
             calls.clear()
             rep = run_checks(n, ("snf-equiv",)).report
-            assert calls == [w], n
-            trim = smith_normal_form(hat_walk_matrix(w), width=count_distinct_nonzero_rows(w))
+            assert calls == [core], n
+            cut = [r[: core.cols] for r in hat_walk_matrix(w).to_rows()]
+            trim = smith_normal_form(IntMatrix.from_rows(cut))
             assert rep.snf_wprime == trim.invariant_factors, n
 
     def test_one_trim_per_order(self, monkeypatch):

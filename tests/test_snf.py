@@ -1,7 +1,7 @@
 import random
 import time
 from itertools import combinations
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -10,7 +10,7 @@ from d8_data import W8_FACTORS, W8_PRIME_ROWS, W8_RANK
 from walkrank.graphs import adjacency_matrix, make_dynkin, make_extended_dynkin, make_path
 from walkrank.intmatrix import IntMatrix, det_exact, rank_fraction_free, walk_matrix
 from walkrank.quotient import build_w_prime, hat_walk_matrix
-from walkrank.snf import SnfResult, count_distinct_nonzero_rows, rank_via_snf, smith_normal_form
+from walkrank.snf import SnfResult, rank_via_snf, smith_normal_form, walk_core
 
 
 def _diagonal(entries, rows, cols):
@@ -22,6 +22,11 @@ def _diagonal(entries, rows, cols):
 
 def _factors(m):
     return smith_normal_form(m).invariant_factors
+
+
+def _cut(m, width):
+    """The first `width` columns of m, or all of them when it has fewer."""
+    return IntMatrix.from_rows([r[:width] for r in m.to_rows()])
 
 
 def _factors_via_minor_gcds(m):
@@ -164,7 +169,7 @@ class TestRankViaSnf:
 
 
 class TestWidth:
-    """SNF cut at a walk matrix's count of distinct nonzero rows."""
+    """SNF of walk_core: W cut at its count of distinct nonzero rows."""
 
     @pytest.mark.parametrize(
         "family, orders",
@@ -178,10 +183,11 @@ class TestWidth:
     def test_cut_factors_equal_the_uncut_ones(self, family, orders):
         for n in orders:
             w = walk_matrix(adjacency_matrix(family(n)))
-            width = count_distinct_nonzero_rows(w)
-            for m in (w, build_w_prime(hat_walk_matrix(w))):
-                cut = smith_normal_form(m, width=width)
-                assert cut == smith_normal_form(m), f"{family.__name__}({n})"
+            core = walk_core(w)
+            assert smith_normal_form(core) == smith_normal_form(w), f"{family.__name__}({n})"
+            w_prime = build_w_prime(hat_walk_matrix(w))
+            cut = smith_normal_form(_cut(w_prime, core.cols))
+            assert cut == smith_normal_form(w_prime), f"{family.__name__}({n})"
 
     @pytest.mark.parametrize(
         "family, first",
@@ -194,36 +200,55 @@ class TestWidth:
         for n in range(first, 61):
             w = walk_matrix(adjacency_matrix(family(n)))
             hat = hat_walk_matrix(w)
-            for width in (count_distinct_nonzero_rows(w), n, n + 1):
-                got = smith_normal_form(build_w_prime(hat), width=width).invariant_factors
-                assert got == smith_normal_form(hat, width=width).invariant_factors, (n, width)
+            for width in (walk_core(w).cols, n, n + 1):
+                got = _factors(_cut(build_w_prime(hat), width))
+                assert got == _factors(_cut(hat, width)), (n, width)
 
     @pytest.mark.parametrize("n", [*range(4, 41), 200])
     def test_ext_dynkin_width_is_the_rank(self, n):
         w = walk_matrix(adjacency_matrix(make_extended_dynkin(n)))
-        assert count_distinct_nonzero_rows(w) == n // 2
+        core = walk_core(w)
+        assert (core.rows, core.cols) == (n // 2, n // 2)
 
     def test_counts_distinct_nonzero_rows(self):
-        m = IntMatrix.from_rows([[1, 2], [0, 0], [1, 2], [2, 1], [0, 0]])
-        assert count_distinct_nonzero_rows(m) == 2
-        assert count_distinct_nonzero_rows(IntMatrix(3, 2, [0] * 6)) == 0
+        m = IntMatrix.from_rows([[1, 2, 5], [0, 0, 0], [1, 2, 5], [2, 1, 7], [0, 0, 0]])
+        assert walk_core(m) == IntMatrix.from_rows([[1, 2], [2, 1]])
+        with pytest.raises(ValueError, match="need at least one row"):
+            walk_core(IntMatrix(3, 2, [0] * 6))
 
     def test_eliminates_only_the_first_columns(self):
+        # every column is eliminated; the core's cut loses the factor of a
+        # column that, unlike a walk matrix's, is no combination of the first
         m = IntMatrix.from_rows([[1, 0, 0], [0, 2, 0], [0, 0, 3], [0, 0, 0]])
         assert _factors(m) == (1, 1, 6)
-        assert smith_normal_form(m, width=1) == SnfResult((1,))
-        assert smith_normal_form(m, width=2) == SnfResult((1, 2))
-        assert smith_normal_form(m, width=3) == smith_normal_form(m, width=9) == smith_normal_form(m)
+        assert walk_core(m) == IntMatrix.from_rows(m.to_rows()[:3])
+        skew = IntMatrix.from_rows([[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 0, 3]])
+        assert _factors(skew) == (1, 1, 6)
+        assert _factors(walk_core(skew)) == (1, 2)
 
-    @pytest.mark.parametrize("width", [True, False, 1.0, "2"])
-    def test_rejects_a_width_that_is_not_an_int(self, width):
-        with pytest.raises(TypeError, match="width must be an int"):
-            smith_normal_form(w8(), width=width)
 
-    @pytest.mark.parametrize("width", [0, -1])
-    def test_rejects_a_width_below_one(self, width):
-        with pytest.raises(ValueError, match="width must be >= 1"):
-            smith_normal_form(w8(), width=width)
+class TestWalkCore:
+    """walk_core(W), the d x d matrix M of W's distinct nonzero rows cut at d."""
+
+    @pytest.mark.parametrize(
+        "family", [make_path, make_dynkin, make_extended_dynkin], ids=["path", "dynkin", "ext-dynkin"]
+    )
+    def test_core_has_distinct_nonzero_rows_and_the_factors_of_w(self, family):
+        for n in range(4, 61):
+            w = walk_matrix(adjacency_matrix(family(n)))
+            core = walk_core(w)
+            rows = [core.row(i) for i in range(core.rows)]
+            assert len(set(rows)) == len(rows) and all(map(any, rows)), n
+            assert smith_normal_form(core) == smith_normal_form(w), n
+
+    def test_ext_dynkin_core_determinant_is_the_product_of_the_factors(self):
+        # Bareiss never sees the core; this pins, in a test only, that
+        # |det M| is the product of W's invariant factors
+        for n in range(4, 121):
+            w = walk_matrix(adjacency_matrix(make_extended_dynkin(n)))
+            core = walk_core(w)
+            assert (core.rows, core.cols) == (n // 2, n // 2), n
+            assert abs(det_exact(core)) == prod(_factors(w)), n
 
 
 class TestIntegralEquivalence:

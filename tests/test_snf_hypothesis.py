@@ -5,7 +5,7 @@ test-only oracle, is missing."""
 import pytest
 
 from walkrank.intmatrix import IntMatrix
-from walkrank.snf import count_distinct_nonzero_rows, smith_normal_form
+from walkrank.snf import smith_normal_form, walk_core
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -81,7 +81,7 @@ def test_krylov_matrix_cut_at_its_distinct_rows_keeps_the_factors(case):
     for _ in range(len(v) - 1):
         columns.append([sum(x * y for x, y in zip(row, columns[-1])) for row in a])
     k = IntMatrix.from_rows([list(r) for r in zip(*columns)])
-    width = count_distinct_nonzero_rows(k)
+    core = walk_core(k)
     full = smith_normal_form(k)
-    assert width >= full.rank
-    assert smith_normal_form(k, width=width) == full
+    assert core.cols >= full.rank
+    assert smith_normal_form(core) == full

@@ -119,8 +119,15 @@ MUTANTS = [
     # SNF(W') is read from SNF(W) only when the trim's cut rows are W's
     (
         "walkrank/reports.py",
-        "if distinct_nonzero_rows(hat.row(i)[:width] for i in range(hat.rows)) == w_rows:",
+        "if rows == list(map(core.row, range(core.rows))):",
         "if True:",
+    ),
+    # W's core keeps d columns; a cut at d + 1 keeps the factors too, so
+    # only a cut short of d is a mutant the suite can see
+    (
+        "walkrank/snf.py",
+        "return IntMatrix.from_rows([r[: len(rows)] for r in rows])",
+        "return IntMatrix.from_rows([r[: len(rows) - 1] for r in rows])",
     ),
     # the one home of the rule that an integer argument is exactly an int
     (

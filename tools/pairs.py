@@ -17,7 +17,8 @@ workload and end-to-end metric: every run's value, each side's median and
 quartiles, and the number of pairs the change won (better, in the direction
 BENCHMARK.json gives, not tied). It also holds the failed operations of
 each side. Exits 1, writing no JSON, when the parent cannot be exported or
-at the first run that exits non-zero or reports `"correct": false`.
+at the first run that exits non-zero or whose last line is no correct
+result object.
 """
 
 from __future__ import annotations
@@ -61,17 +62,32 @@ def export(rev: str, dest: Path) -> str:
     return commit
 
 
+def parse_result(line: str) -> dict | None:
+    """The object a run's last line holds, or None unless it is a JSON
+    object with `"correct": true`, the `failed` and `attempted` counts, and
+    a numeric value and a unit for each metric of BENCHMARK.json: all that
+    summarise reads."""
+    try:
+        result = json.loads(line)
+        correct = result["correct"] is True and "failed" in result and "attempted" in result
+        metrics = [result["metrics"][name] for name in BETTER]
+        numeric = all(type(m["value"]) in (int, float) and "unit" in m for m in metrics)
+    except (ValueError, TypeError, KeyError):
+        return None
+    return result if correct and numeric else None
+
+
 def run_once(tree: Path, workload: str, seconds: float) -> dict:
     """The result line of one untraced benchmark run in tree; Failed when
-    the run exits non-zero, prints no result, or is not correct."""
+    the run exits non-zero or its last line is no result (see parse_result)."""
     cmd = [
         sys.executable, "perfbench/run.py",
         "--workload", workload, "--seconds", str(seconds), "--trace", "0",
     ]
     done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
-    result = json.loads(lines[-1]) if done.returncode == 0 and lines else None
-    if result is None or result.get("correct") is not True:
+    result = parse_result(lines[-1]) if done.returncode == 0 and lines else None
+    if result is None:
         sys.stderr.write(done.stderr[-4000:])
         raise Failed(f"{workload} in {tree} exited {done.returncode}: {lines[-1:]}")
     return result
