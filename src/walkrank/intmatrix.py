@@ -80,25 +80,20 @@ class IntMatrix:
         return [list(self._data[i * c : (i + 1) * c]) for i in range(self.rows)]
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        """The product, found from the nonzero entries of both operands:
-        a * y is added to entry (i, j) for each nonzero a = self[i, k] and
-        y = other[k, j], so the work is O(nnz) for sparse operands such as
-        the adjacency, characteristic and divisor matrices."""
+        """The dense form of support_product: the product of the two
+        operands' row supports, written out with its zeros."""
         if not isinstance(other, IntMatrix):
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        right = row_support(other)
-        out: list[int] = []
-        for support in row_support(self):
-            acc = [0] * other.cols
-            for k, a in support:
-                for j, y in right[k]:
-                    acc[j] += a * y
-            out.extend(acc)
-        return IntMatrix(self.rows, other.cols, out)
+        cols = other.cols
+        out = [0] * (self.rows * cols)
+        for i, support in enumerate(support_product(row_support(self), row_support(other))):
+            for j, x in support:
+                out[i * cols + j] = x
+        return IntMatrix(self.rows, cols, out)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntMatrix):
@@ -126,26 +121,71 @@ def row_support(m: IntMatrix) -> list[list[tuple[int, int]]]:
     return [[(j, row[j]) for j in compress(cols, row)] for row in map(m.row, range(m.rows))]
 
 
-def walk_matrix(m: IntMatrix) -> IntMatrix:
-    """Matrix whose j-th column is m^(j-1) applied to the all-ones vector.
+def support_product(
+    left: list[list[tuple[int, int]]], right: list[list[tuple[int, int]]]
+) -> list[list[tuple[int, int]]]:
+    """The row supports of L·R, from the row supports of L and R.
 
-    Columns are produced by repeated matrix-vector products; matrix powers are
+    a * y is added to entry (i, j) for each nonzero a = L[i, k] and
+    y = R[k, j], so the work is O(nnz) for sparse operands such as the
+    adjacency, characteristic and divisor matrices. Each output row is in
+    row_support's form: increasing columns, and no zero entry.
+    """
+    out = []
+    for support in left:
+        acc: dict[int, int] = {}
+        for k, a in support:
+            for j, y in right[k]:
+                acc[j] = acc.get(j, 0) + a * y
+        out.append([(j, x) for j, x in sorted(acc.items()) if x])
+    return out
+
+
+def _three_term_walk(m: IntMatrix, c: int) -> IntMatrix:
+    """Matrix whose column 0 is the all-ones vector and whose column j+1 is
+    m·(column j) − c·(column j−1), with column −1 zero.
+
+    Columns are produced by sparse matrix-vector products; matrix powers are
     never formed.
     """
     k = square_order(m)
     support = row_support(m)
-    cols: list[list[int]] = [[1] * k]
-    v = cols[0]
+    prev = [0] * k
+    v = [1] * k
+    cols = [v]
     for _ in range(k - 1):
         nxt = []
-        for row in support:
-            acc = 0
+        for row, back in zip(support, prev):
+            acc = -c * back
             for j, val in row:
                 acc += val * v[j]
             nxt.append(acc)
-        v = nxt
+        # with c = 0 prev stays the zero column, so W's wide entries are
+        # never multiplied by 0
+        prev, v = (v if c else prev), nxt
         cols.append(v)
     return IntMatrix(k, k, list(chain.from_iterable(zip(*cols))))
+
+
+def walk_matrix(m: IntMatrix) -> IntMatrix:
+    """The walk matrix W: its j-th column is m^j applied to the all-ones
+    vector, j = 0..k-1 for a k x k matrix m."""
+    return _three_term_walk(m, 0)
+
+
+def chebyshev_walk_matrix(m: IntMatrix) -> IntMatrix:
+    """W_E = W·U: its j-th column is E_j(m) applied to the all-ones vector,
+    where E_0 = 1, E_1 = x and E_{j+1} = x·E_j − E_{j−1}, so that
+    E_j(x) = U_j(x/2), the Chebyshev polynomial of the second kind.
+
+    Each E_j is monic of degree j, so column j of U holds E_j's coefficients
+    and U is upper unitriangular over Z: W_E has W's rank, its invariant
+    factors and its distinct nonzero rows, one for one. When m's
+    eigenvalues lie in [-2, 2], as for the extended Dynkin trees, the
+    entries stay at a few bits, since |U_j(cos θ)| <= j + 1, where W's grow
+    like 2^j.
+    """
+    return _three_term_walk(m, 1)
 
 
 def _pick_pivot(a: list[list[int]], col: int, start: int, nrows: int) -> int:

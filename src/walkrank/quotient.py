@@ -3,7 +3,6 @@ trimmed walk matrix they predict, and its zero-padded embedding W'."""
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .graphs import Graph, check_family_order
@@ -75,25 +74,21 @@ def _check_cover(p: EquitablePartition, order: int) -> None:
         raise ValueError(f"partition does not cover 1..{order} exactly")
 
 
-def _neighbor_cell_counts(g: Graph, p: EquitablePartition) -> dict[int, Counter[int]]:
-    """Per vertex, how many of its neighbors lie in each cell (cells 0-indexed)."""
-    cell_of = {v: c for c, cell in enumerate(p.cells) for v in cell}
-    return {v: Counter(cell_of[w] for w in ws) for v, ws in g.neighbor_sets().items()}
-
-
 def _equitability_witness(
-    p: EquitablePartition, counts: dict[int, Counter[int]]
+    p: EquitablePartition, counts: dict[int, dict[int, int]]
 ) -> tuple[int, int] | None:
     """First cell pair (1-indexed, row-major) with inconsistent neighbor counts, or None.
 
-    Cells i and j are consistent when every vertex of cell i has the same
-    nonzero count c in cell j, so that the pair (j, c) turns up |cell i| times,
-    or when no vertex of cell i has a neighbor in cell j. Any other tally
-    marks (i, j). The work is linear in the number of edges.
+    counts[v] maps a cell (0-indexed) to the number of v's neighbors in it,
+    leaving out cells that hold none. Cells i and j are consistent when every
+    vertex of cell i has the same count in cell j, zero included; each is
+    compared with one vertex of the cell. The witness is the first
+    inconsistent cell i, with the least j over all of its vertices. The work
+    is linear in the number of edges.
     """
     for i, cell in enumerate(p.cells):
-        tally = Counter(pair for v in cell for pair in counts[v].items())
-        bad = [j for (j, _), seen in tally.items() if seen != len(cell)]
+        first, *rest = (counts[v] for v in cell)
+        bad = [j for c in rest for j in c.keys() | first.keys() if c.get(j) != first.get(j)]
         if bad:
             return (i + 1, min(bad) + 1)
     return None
@@ -117,7 +112,13 @@ def divisor_matrix(g: Graph, p: EquitablePartition) -> IntMatrix:
     corrupt everything downstream.
     """
     _check_cover(p, g.order)
-    counts = _neighbor_cell_counts(g, p)
+    cell_of = {v: c for c, cell in enumerate(p.cells) for v in cell}
+    counts: dict[int, dict[int, int]] = {v: {} for v in cell_of}
+    for u, v in g.edges:
+        cu, cv = cell_of[u], cell_of[v]
+        at_u, at_v = counts[u], counts[v]
+        at_u[cv] = at_u.get(cv, 0) + 1
+        at_v[cu] = at_v.get(cu, 0) + 1
     witness = _equitability_witness(p, counts)
     if witness is not None:
         raise NotEquitableError(*witness)

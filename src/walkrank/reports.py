@@ -9,14 +9,22 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
 from types import NoneType, UnionType
 from typing import Iterable, Sequence, get_args, get_origin, get_type_hints
 
 from .graphs import Graph, adjacency_matrix, check_family_order, make_extended_dynkin
-from .intmatrix import IntMatrix, check_int, rank_fraction_free, walk_matrix
+from .intmatrix import (
+    IntMatrix,
+    chebyshev_walk_matrix,
+    check_int,
+    rank_fraction_free,
+    row_support,
+    support_product,
+    walk_matrix,
+)
 from .quotient import (
     EquitablePartition,
     build_w_prime,
@@ -43,7 +51,7 @@ class VerificationError(RuntimeError):
     """A theorem-backed identity failed to hold exactly."""
 
 
-@dataclass
+@dataclass(slots=True)
 class VerifyReport:
     """Everything the toolkit can say about one order n.
 
@@ -108,6 +116,17 @@ class _Order:
 
     A stage's inputs are fetched before its clock starts, so no stage's time
     includes another's and the timings add up to at most the elapsed time.
+
+    Both walk matrices are built in the Chebyshev basis: w is W_E(A) = W·U
+    and wb is W_E(B) (intmatrix.chebyshev_walk_matrix), whose entries stay
+    at a few bits where W's grow like 2^j. That is exact for every check. U
+    is upper unitriangular over Z, so W_E has W's rank, its invariant
+    factors and the same d distinct nonzero rows. Its columns from d on are
+    integer combinations of earlier ones (the minimal polynomial of 1 under
+    A is monic, and so is each E_j), so walk_core's cut still holds. The
+    trims commute with U: hat(W_E) = hat(W)·U' and W_E(B) = W_B·U', with U'
+    U's leading (n-1) x (n-1) block, which is unimodular too; so hat(W_E)
+    equals W_E(B) exactly when hat(W) equals W_B, and SNF(W') is unchanged.
     """
 
     def __init__(self, n: int):
@@ -131,7 +150,8 @@ class _Order:
 
     @cached_property
     def w(self) -> IntMatrix:
-        return self.timed("walk_matrix", walk_matrix, self.adj)
+        """W_E(A), the walk matrix in the Chebyshev basis."""
+        return self.timed("walk_matrix", chebyshev_walk_matrix, self.adj)
 
     @cached_property
     def b(self) -> IntMatrix:
@@ -148,18 +168,18 @@ class _Order:
 
     @cached_property
     def hat(self) -> IntMatrix:
-        """W with its first and last rows and last two columns dropped."""
+        """W_E with its first and last rows and last two columns dropped."""
         return self.timed("hat", hat_walk_matrix, self.w)
 
     @cached_property
     def wb(self) -> IntMatrix:
-        """The walk matrix of the divisor matrix B."""
-        return self.timed("hat", walk_matrix, self.b)
+        """W_E(B), the walk matrix of the divisor matrix B in the Chebyshev basis."""
+        return self.timed("hat", chebyshev_walk_matrix, self.b)
 
 
 def _ap_equals_pb(n: int, adj: IntMatrix, b: IntMatrix, partition: EquitablePartition) -> bool:
-    p_mat = characteristic_matrix(partition, n + 1)
-    return adj @ p_mat == p_mat @ b
+    p = row_support(characteristic_matrix(partition, n + 1))
+    return support_product(row_support(adj), p) == support_product(p, row_support(b))
 
 
 def _snf_of_trim(hat: IntMatrix, core: IntMatrix, snf_w: SnfResult) -> SnfResult:
@@ -231,13 +251,16 @@ def run_checks(n: int, checks: Iterable[str] = ALL_CHECKS) -> ScanRow:
     """Run the selected checks at one order and collect the report row.
 
     Only the machinery a selected check needs is built, so exact-only scans
-    never touch the floating-point code paths. The timings hold one key per
+    never touch the floating-point code paths. Every exact artifact is built
+    in the Chebyshev basis: W here is W_E = W·U (_Order says why that is
+    exact), ranked by Bareiss and by its SNF. The timings hold one key per
     stage, in milliseconds: graph, walk_matrix, divisor, snf_w, rank_bareiss,
-    ap_pb, hat, snf_wprime, main_eigenvalues and eigpairs. snf_w times
-    walk_core(W) and its SNF. snf_wprime times the comparison of the trim's
-    distinct nonzero rows, cut at the core's width, with the core's rows;
-    SNF(W') is SNF(W) when they match, and the SNF of the trim's cut rows,
-    timed there too, when they differ.
+    ap_pb, hat, snf_wprime, main_eigenvalues and eigpairs. walk_matrix times
+    W_E(A), and hat the trim and W_E(B). snf_w times walk_core(W_E) and its
+    SNF. snf_wprime times the comparison of the trim's distinct nonzero rows,
+    cut at the core's width, with the core's rows; SNF(W') is SNF(W) when
+    they match, and the SNF of the trim's cut rows, timed there too, when
+    they differ.
     """
     return _check_order(_Order(n), checks)
 
@@ -245,19 +268,24 @@ def run_checks(n: int, checks: Iterable[str] = ALL_CHECKS) -> ScanRow:
 def verify(n: int) -> VerifyReport:
     """Full verification at one order.
 
-    Runs every check, then compares the ranks of W and of the zero-padded W'
-    (built only here). The trim needs no rank of its own: W' only adds zero
-    rows, which Bareiss drops, and two zero columns, which hold no pivot, so
-    both eliminate the same rows. Nor does the walk matrix of the quotient:
-    the hat check has proved it equal to the trim. Any violation of a proven
-    identity raises VerificationError.
+    Runs every check, then compares three ranks: Bareiss's rank of the
+    paper's W, the one matrix here not in the Chebyshev basis, so that this
+    rank checks the change of basis; SNF(W_E)'s rank; and Bareiss's rank of
+    the zero-padded W' (built only here). The trim needs no rank of its own:
+    W' only adds zero rows, which Bareiss drops, and two zero columns, which
+    hold no pivot, so both eliminate the same rows. Nor does the walk matrix
+    of the quotient: the hat check has proved it equal to the trim. Any
+    violation of a proven identity raises VerificationError.
     """
     order = _Order(n)
     row = _check_order(order, ALL_CHECKS)
+    rank_raw = rank_fraction_free(walk_matrix(order.adj))
     rank_w = order.snf_w.rank
     rank_wprime = rank_fraction_free(build_w_prime(order.hat))
-    if rank_w != rank_wprime:
-        raise VerificationError(f"rank chain broken at n={n}: W={rank_w}, W'={rank_wprime}")
+    if not rank_raw == rank_w == rank_wprime:
+        raise VerificationError(
+            f"rank chain broken at n={n}: W={rank_raw}, W_E={rank_w}, W'={rank_wprime}"
+        )
     if row.theorem_failures:
         raise VerificationError(f"checks failed at n={n}: {', '.join(row.theorem_failures)}")
     return row.report
@@ -342,15 +370,28 @@ def _decode(name: str, value: object) -> object:
 
 
 def _report(record: object) -> VerifyReport:
-    """A report from a mapping of exactly the report's fields to JSON values."""
+    """A report from a mapping of exactly the report's fields to JSON values.
+
+    When snf_wprime equals snf_w it is given snf_w's tuple: most rows hold
+    two equal factor lists, and a scan's parsed rows then keep one of them.
+    """
     if type(record) is not dict or record.keys() != _FIELD_TYPES.keys():
         fields = ", ".join(_REPORT_FIELDS)
         raise ValueError(f"a report needs exactly the fields {fields}, got {record!r}")
-    return VerifyReport(**{name: _decode(name, value) for name, value in record.items()})
+    rep = VerifyReport(**{name: _decode(name, value) for name, value in record.items()})
+    if rep.snf_wprime == rep.snf_w:
+        rep.snf_wprime = rep.snf_w
+    return rep
 
 
 def reports_to_json(reports: Sequence[VerifyReport]) -> str:
-    return json.dumps([asdict(r) for r in reports], indent=2) + "\n"
+    """Each report as a JSON object of its fields, in _REPORT_FIELDS order.
+
+    The fields are read with getattr, not dataclasses.asdict, which would
+    deep-copy every factor tuple and the timings only to encode them.
+    """
+    records = [{name: getattr(r, name) for name in _REPORT_FIELDS} for r in reports]
+    return json.dumps(records, indent=2) + "\n"
 
 
 def parse_scan_json(text: str) -> list[VerifyReport]:

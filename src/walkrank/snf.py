@@ -83,8 +83,11 @@ def walk_core(w: IntMatrix) -> IntMatrix:
     columns from rank K <= d on are integer combinations of earlier ones, on
     any subset of K's rows. So W's d also serves its trim and W' (the trim
     plus zero rows and columns); those are no walk matrices, and are never
-    cut at a count of their own. A matrix with no nonzero row raises
-    ValueError.
+    cut at a count of their own. The same holds for W_E = W·U, whose column
+    j is E_j(A)·1 for a monic E_j of degree j (intmatrix.chebyshev_walk_matrix):
+    a polynomial reduced modulo the monic minimal polynomial is an integer
+    combination of E_0, ..., E_{d-1}. Scans cut W_E. A matrix with no
+    nonzero row raises ValueError.
     """
     rows = distinct_nonzero_rows(map(w.row, range(w.rows)))
     return IntMatrix.from_rows([r[: len(rows)] for r in rows])

@@ -30,3 +30,19 @@ def w8():
 
 def complete_graph(k):
     return Graph(k, [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)])
+
+
+def three_term_basis(k, seed=1):
+    """The k x k matrix whose column j holds the coefficients of E_j, lowest
+    degree first, where E_0 = seed, E_1 = x and E_{j+1} = x E_j - E_{j-1}.
+    With seed 1, E_j is the Chebyshev polynomial U_j(x/2) and the matrix is
+    upper unitriangular; with seed 2, E_j is the Dickson polynomial D_j and
+    the matrix has determinant 2."""
+    polys = [[seed], [0, 1]]
+    while len(polys) < k:
+        a, b = polys[-1], polys[-2]
+        polys.append([0] + a)
+        for i, x in enumerate(b):
+            polys[-1][i] -= x
+    cols = [p + [0] * (k - len(p)) for p in polys[:k]]
+    return IntMatrix.from_rows([list(r) for r in zip(*cols)])

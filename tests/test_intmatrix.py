@@ -4,11 +4,12 @@ from enum import IntEnum
 
 import pytest
 
-from builders import det_cofactor, random_matrix, w8
+from builders import det_cofactor, random_matrix, three_term_basis, w8
 from d8_data import W8_RANK, W8_ROWS
-from walkrank.graphs import adjacency_matrix, make_extended_dynkin, make_path
+from walkrank.graphs import adjacency_matrix, make_dynkin, make_extended_dynkin, make_path
 from walkrank.intmatrix import (
     IntMatrix,
+    chebyshev_walk_matrix,
     check_int,
     det_exact,
     format_matrix_text,
@@ -17,6 +18,7 @@ from walkrank.intmatrix import (
     rank_fraction_free,
     rank_modular,
     row_support,
+    support_product,
     walk_matrix,
 )
 from walkrank.quotient import canonical_partition, divisor_matrix
@@ -201,6 +203,28 @@ class TestSparseKernels:
                 want = [[(j, x) for j, x in enumerate(r) if x] for r in m.to_rows()]
                 assert row_support(m) == want
 
+    @pytest.mark.parametrize("kind", ["sparse", "dense"])
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "x".join(map(str, s)))
+    def test_support_product_equals_a_triple_loop(self, kind, shape):
+        # in row_support's form: increasing columns and no zero entry, so
+        # a sum that cancels to 0 is left out
+        rows, inner, cols = shape
+        for seed in range(10):
+            a, b = _seeded_pair(seed, kind, rows, inner, cols)
+            want = [[] for _ in range(rows)]
+            for i in range(rows):
+                for j in range(cols):
+                    x = sum(a[i][k] * b[k][j] for k in range(inner))
+                    if x:
+                        want[i].append((j, x))
+            pair = map(row_support, map(IntMatrix.from_rows, (a, b)))
+            assert support_product(*pair) == want
+
+    def test_support_product_drops_a_sum_that_cancels(self):
+        left = [[(0, 1), (1, 1)]]
+        right = [[(0, 2), (2, 5)], [(0, -2), (1, 3)]]
+        assert support_product(left, right) == [[(1, 3), (2, 5)]]
+
     def test_row_support_of_a_zero_row_is_empty(self):
         assert row_support(IntMatrix.from_rows([[0, 0, 0], [0, -3, 0]])) == [[], [(1, -3)]]
 
@@ -239,6 +263,56 @@ class TestWalkMatrix:
         cols = list(zip(*w.to_rows()))
         for j in range(w.cols - 1):
             assert max(cols[j + 1]) <= max_deg * max(cols[j])
+
+
+FAMILIES = pytest.mark.parametrize(
+    "family", [make_path, make_dynkin, make_extended_dynkin], ids=["path", "dynkin", "ext-dynkin"]
+)
+
+
+class TestChebyshevWalkMatrix:
+    """W_E = W·U, column j being E_j(A)·1 with E_j(x) = U_j(x/2)."""
+
+    @FAMILIES
+    def test_equals_w_times_the_basis_change(self, family):
+        for n in (4, 5, 6, 7, 11, 16, 23, 31, 44, 60):
+            a = adjacency_matrix(family(n))
+            u = three_term_basis(a.rows)
+            assert chebyshev_walk_matrix(a) == walk_matrix(a) @ u, n
+
+    def test_basis_change_is_upper_unitriangular(self):
+        u = three_term_basis(9).to_rows()
+        assert all(u[i][i] == 1 for i in range(9))
+        assert all(u[i][j] == 0 for i in range(9) for j in range(i))
+        # E_2 = x^2 - 1, E_3 = x^3 - 2x, E_4 = x^4 - 3x^2 + 1
+        assert [u[i][4] for i in range(5)] == [1, 0, -3, 0, 1]
+
+    def test_order8_pinned_rows(self):
+        # by hand from W's rows: entry j of a row is sum_i W[., i] U[i, j],
+        # e.g. 171 - 7*43 + 15*11 - 10*3 + 1 = 6 for E_8 on row 0
+        w = chebyshev_walk_matrix(adjacency_matrix(make_extended_dynkin(8)))
+        assert w.row(0) == (1, 1, 2, 2, 3, 3, 5, 4, 6)
+        assert w.row(4) == (1, 2, 3, 6, 5, 8, 7, 10, 9)
+
+    def test_entries_stay_small_on_extended_dynkin_trees(self):
+        # A's eigenvalues lie in [-2, 2] and |U_j(cos t)| <= j + 1, so each
+        # entry is at most (j + 1) sqrt(n + 1); W's last column has n bits
+        for n in (20, 60, 150):
+            w = chebyshev_walk_matrix(adjacency_matrix(make_extended_dynkin(n)))
+            for j in range(w.cols):
+                col = [abs(w.row(i)[j]) for i in range(w.rows)]
+                assert max(col) ** 2 <= (j + 1) ** 2 * (n + 1), (n, j)
+
+    def test_zero_matrix(self):
+        # E_j(0) is 1, 0, -1, 0, 1, ...
+        w = chebyshev_walk_matrix(IntMatrix(2, 2, [0] * 4))
+        assert w.to_rows() == [[1, 0], [1, 0]]
+        w = chebyshev_walk_matrix(IntMatrix(5, 5, [0] * 25))
+        assert w.row(0) == (1, 0, -1, 0, 1)
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError):
+            chebyshev_walk_matrix(IntMatrix(2, 3, [0] * 6))
 
 
 class TestRank:

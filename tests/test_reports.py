@@ -13,7 +13,7 @@ import walkrank.quotient as quotient
 import walkrank.reports as reports
 import walkrank.spectra as spectra
 from walkrank.graphs import adjacency_matrix, make_extended_dynkin
-from walkrank.intmatrix import IntMatrix, rank_fraction_free, walk_matrix
+from walkrank.intmatrix import IntMatrix, chebyshev_walk_matrix, rank_fraction_free, walk_matrix
 from walkrank.quotient import (
     build_w_prime,
     canonical_partition,
@@ -38,11 +38,17 @@ from walkrank.spectra import divisor_eigenpairs, eigenpair_residual
 
 
 def _trim_one_entry_off(w):
-    """The trim of w with entry (0, 1) raised by one: its first row, a leaf's,
-    then repeats no row of W, so its distinct rows are no longer W's."""
+    """The trim of w with entry (0, 3) raised by one: its first row, a leaf's,
+    then repeats no row of W, so its distinct rows are no longer W's. In the
+    Chebyshev basis W_E at n = 12 this moves the factors from
+    (1, 1, 1, 1, 1, 11) to six 1s; entry (0, 1) raised by one would keep them."""
     rows = hat_walk_matrix(w).to_rows()
-    rows[0][1] += 1
+    rows[0][3] += 1
     return IntMatrix.from_rows(rows)
+
+
+def _w_e(n):
+    return chebyshev_walk_matrix(adjacency_matrix(make_extended_dynkin(n)))
 
 
 class TestVerify:
@@ -96,8 +102,10 @@ class TestVerify:
             verify(8)
 
     def test_rank_chain_ranks_w_and_the_trim_with_bareiss(self, monkeypatch):
-        # neither the trim nor the walk matrix of B is ranked: W' eliminates
-        # the same rows as the trim, and the hat check proves W(B) equals it
+        # the rank check ranks W_E; verify then ranks the paper's W, the one
+        # check of the change of basis, and W' of W_E's trim. Neither the trim
+        # nor the walk matrix of B is ranked: W' eliminates the same rows as
+        # the trim, and the hat check proves W_E(B) equals it
         ranked = []
 
         def spy(m):
@@ -106,8 +114,19 @@ class TestVerify:
 
         monkeypatch.setattr(reports, "rank_fraction_free", spy)
         verify(12)
+        w_e = _w_e(12)
         w = walk_matrix(adjacency_matrix(make_extended_dynkin(12)))
-        assert ranked == [w, build_w_prime(hat_walk_matrix(w))]
+        assert w != w_e
+        assert ranked == [w_e, w, build_w_prime(hat_walk_matrix(w_e))]
+
+    def test_rank_chain_fails_when_only_the_raw_w_is_misranked(self, monkeypatch):
+        raw = walk_matrix(adjacency_matrix(make_extended_dynkin(8)))
+        monkeypatch.setattr(
+            reports, "rank_fraction_free", lambda m: rank_fraction_free(m) + (m == raw)
+        )
+        assert run_checks(8, ALL_CHECKS).theorem_ok
+        with pytest.raises(VerificationError, match="rank chain broken at n=8: W=5, W_E=4, W'=4"):
+            verify(8)
 
     def test_only_verify_builds_w_prime(self, monkeypatch):
         built = []
@@ -121,8 +140,7 @@ class TestVerify:
         run_checks(12, ALL_CHECKS)
         assert built == []
         verify(12)
-        w = walk_matrix(adjacency_matrix(make_extended_dynkin(12)))
-        assert built == [hat_walk_matrix(w)]
+        assert built == [hat_walk_matrix(_w_e(12))]
 
     def test_failed_check_raises(self, monkeypatch):
         monkeypatch.setattr(reports, "eigenpair_residual", lambda b, pair: 1.0)
@@ -139,7 +157,7 @@ class TestVerify:
 
         monkeypatch.setattr(reports, "smith_normal_form", spy)
         n = 12
-        w = walk_matrix(adjacency_matrix(make_extended_dynkin(n)))
+        w = _w_e(n)
         core = walk_core(w)
         assert (core.rows, core.cols) == (n // 2, n // 2)
         # the trim's distinct rows cut at W's width are W's, so SNF(W') is
@@ -380,7 +398,7 @@ class TestRunChecks:
 
         monkeypatch.setattr(reports, "smith_normal_form", spy)
         for n in range(4, 41):
-            w = walk_matrix(adjacency_matrix(make_extended_dynkin(n)))
+            w = _w_e(n)
             core = walk_core(w)
             calls.clear()
             rep = run_checks(n, ("snf-equiv",)).report
@@ -605,3 +623,36 @@ class TestSerialization:
     def test_timings_take_ints_and_floats(self):
         rows = [VerifyReport(n=4, timings={"graph": 3, "walk_matrix": 0.25})]
         assert parse_scan_json(reports_to_json(rows)) == rows
+
+    def test_equal_factor_lists_are_parsed_into_one_tuple(self):
+        rows = [row.report for row in scan(4, 40, checks=("rank", "snf-equiv"))]
+        parsed = parse_scan_json(reports_to_json(rows))
+        assert parsed == rows
+        assert all(rep.snf_wprime is rep.snf_w for rep in parsed)
+        differ = [VerifyReport(n=8, snf_w=(1, 1, 1, 7), snf_wprime=(1, 1, 1, 1))]
+        (rep,) = parse_scan_json(reports_to_json(differ))
+        assert (rep.snf_w, rep.snf_wprime) == ((1, 1, 1, 7), (1, 1, 1, 1))
+
+    def test_json_text_is_the_asdict_encoding(self):
+        # None, (), nonempty tuples, bools and timings, in field order
+        rows = [
+            VerifyReport(n=4),
+            VerifyReport(n=5, snf_w=(), snf_wprime=None, timings={"graph": 0.5, "hat": 2}),
+            VerifyReport(
+                n=8,
+                rank_exact=4,
+                rank_expected=4,
+                hat_equals_wb=False,
+                snf_w=(1, 1, 1, 7),
+                snf_wprime=(1, 1, 1, 7),
+                integrally_equiv=True,
+                main_count=4,
+                conjecture_holds=True,
+                timings={"graph": 0.25},
+            ),
+            *(row.report for row in scan(9, 10)),
+        ]
+        assert reports_to_json(rows) == json.dumps([asdict(r) for r in rows], indent=2) + "\n"
+
+    def test_reports_have_no_instance_dict(self):
+        assert not hasattr(VerifyReport(n=4), "__dict__")

@@ -5,10 +5,16 @@ from math import gcd, prod
 
 import pytest
 
-from builders import det_cofactor, random_matrix, w8
+from builders import det_cofactor, random_matrix, three_term_basis, w8
 from d8_data import W8_FACTORS, W8_PRIME_ROWS, W8_RANK
 from walkrank.graphs import adjacency_matrix, make_dynkin, make_extended_dynkin, make_path
-from walkrank.intmatrix import IntMatrix, det_exact, rank_fraction_free, walk_matrix
+from walkrank.intmatrix import (
+    IntMatrix,
+    chebyshev_walk_matrix,
+    det_exact,
+    rank_fraction_free,
+    walk_matrix,
+)
 from walkrank.quotient import build_w_prime, hat_walk_matrix
 from walkrank.snf import SnfResult, rank_via_snf, smith_normal_form, walk_core
 
@@ -240,6 +246,29 @@ class TestWalkCore:
             rows = [core.row(i) for i in range(core.rows)]
             assert len(set(rows)) == len(rows) and all(map(any, rows)), n
             assert smith_normal_form(core) == smith_normal_form(w), n
+
+    @pytest.mark.parametrize(
+        "family", [make_path, make_dynkin, make_extended_dynkin], ids=["path", "dynkin", "ext-dynkin"]
+    )
+    def test_chebyshev_core_has_the_factors_of_the_uncut_w(self, family):
+        # W_E = W U with U unimodular: same rank, distinct rows and factors,
+        # and the cut at d still keeps them
+        for n in range(4, 61):
+            a = adjacency_matrix(family(n))
+            w = walk_matrix(a)
+            core = walk_core(chebyshev_walk_matrix(a))
+            assert core.rows == walk_core(w).rows, n
+            assert smith_normal_form(core) == smith_normal_form(w), n
+
+    def test_a_non_monic_seed_changes_the_factors(self):
+        # E_0 = 2 gives the Dickson basis, with determinant 2: W times it is
+        # no longer unimodularly equivalent to W, and the cut core shows it
+        for n in (5, 8, 12, 21):
+            a = adjacency_matrix(make_extended_dynkin(n))
+            w = walk_matrix(a)
+            dickson = w @ three_term_basis(a.rows, seed=2)
+            assert _factors(dickson) != _factors(w), n
+            assert _factors(walk_core(dickson)) != _factors(w), n
 
     def test_ext_dynkin_core_determinant_is_the_product_of_the_factors(self):
         # Bareiss never sees the core; this pins, in a test only, that

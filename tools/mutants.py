@@ -129,6 +129,27 @@ MUTANTS = [
         "return IntMatrix.from_rows([r[: len(rows)] for r in rows])",
         "return IntMatrix.from_rows([r[: len(rows) - 1] for r in rows])",
     ),
+    # the three-term walk kernel: W and W_E start from the all-ones column.
+    # c = 0 on the scan path (_Order building walk_matrix in place of
+    # chebyshev_walk_matrix) is not listed: the paper's W gives the same
+    # outputs, so that mutant is equivalent
+    (
+        "walkrank/intmatrix.py",
+        "    v = [1] * k\n",
+        "    v = [2] * k\n",
+    ),
+    # the one product kernel, over row supports: each row keeps every term
+    (
+        "walkrank/intmatrix.py",
+        "out.append([(j, x) for j, x in sorted(acc.items()) if x])",
+        "out.append([(j, x) for j, x in sorted(acc.items()) if x][:-1])",
+    ),
+    # the divisor witness names the least inconsistent cell j
+    (
+        "walkrank/quotient.py",
+        "return (i + 1, min(bad) + 1)",
+        "return (i + 1, max(bad) + 1)",
+    ),
     # the one home of the rule that an integer argument is exactly an int
     (
         "walkrank/intmatrix.py",
