@@ -3,12 +3,13 @@
 Subcommands: gen, walk, rank, snf, quotient, spectrum, verify, scan. Sources
 may be a family spec like `ext-dynkin:8` (also `path:5`, `dynkin:6`) or a
 file; `walk` reads edge-list files, `rank`/`snf` read matrix text files. For a
-family spec, `rank` and `snf` operate on the walk matrix of that family.
+family spec, `rank` and `snf` eliminate W_E = W·U, which gives W's results.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -26,6 +27,7 @@ from .graphs import (
 )
 from .intmatrix import (
     IntMatrix,
+    chebyshev_walk_matrix,
     format_matrix_text,
     parse_ints,
     parse_matrix_text,
@@ -87,19 +89,19 @@ def _load_graph(source: str) -> Graph:
 
 def _load_matrix(source: str) -> tuple[IntMatrix, IntMatrix]:
     """The matrix a source names, and the matrix its SNF eliminates: for a
-    family spec, the walk matrix W and walk_core(W), which has W's factors;
-    for a file, the matrix itself twice, uncut."""
+    family spec, W_E = W·U and walk_core(W_E), which have W's shape, ranks and
+    factors (chebyshev_walk_matrix); for a file, the matrix itself twice, uncut."""
     g = _family_graph(source)
     if g is None:
         m = parse_matrix_text(_file_text(source))
         return m, m
-    w = walk_matrix(adjacency_matrix(g))
+    w = chebyshev_walk_matrix(adjacency_matrix(g))
     return w, walk_core(w)
 
 
 def _print_aligned(m: IntMatrix) -> None:
-    cells = [[str(x) for x in m.row(i)] for i in range(m.rows)]
-    widths = [max(len(cells[i][j]) for i in range(m.rows)) for j in range(m.cols)]
+    cells = [[str(x) for x in row] for row in m]
+    widths = [max(map(len, col)) for col in zip(*cells)]
     for row in cells:
         print("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
 
@@ -230,6 +232,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
     return 0 if all(row.theorem_ok for row in rows) else 1
 
 
+# one parser for every call: argparse ties each parser and its actions into cycles
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="walkrank",
@@ -285,8 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -6,8 +6,8 @@ overflow no matter how fast walk counts grow.
 
 from __future__ import annotations
 
-from itertools import chain, compress
-from typing import Callable, Sequence
+from itertools import compress
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 def check_int(value: object, what: str, least: int | None = None) -> None:
@@ -30,9 +30,9 @@ def square_order(m: "IntMatrix") -> int:
 
 
 class IntMatrix:
-    """Immutable dense integer matrix, row-major storage."""
+    """Immutable dense integer matrix: a tuple of row tuples, which iterating it yields."""
 
-    __slots__ = ("rows", "cols", "_data")
+    __slots__ = ("rows", "cols", "_rows")
 
     def __init__(self, rows: int, cols: int, data: Sequence[int]):
         check_int(rows, "matrix rows", 1)
@@ -41,43 +41,46 @@ class IntMatrix:
             raise ValueError(
                 f"a {rows}x{cols} matrix needs {rows * cols} entries, got {len(data)}"
             )
-        if set(map(type, data)) != {int}:
-            i, x = next((i, x) for i, x in enumerate(data) if type(x) is not int)
-            raise TypeError(f"matrix entry ({i // cols}, {i % cols}) must be an int, got {x!r}")
-        self.rows = rows
-        self.cols = cols
-        self._data = tuple(data)
+        self._store(zip(*[iter(data)] * cols))
+
+    def _store(self, rows: Iterable[tuple[int, ...]]) -> "IntMatrix":
+        """Every constructor ends here: keep rows of one width >= 1 of exact ints; return self."""
+        self._rows = tuple(rows)
+        self.rows, self.cols = len(self._rows), len(self._rows[0])
+        if any(len(r) != self.cols for r in self._rows):
+            raise ValueError("all rows must have the same length")
+        check_int(self.cols, "matrix cols", 1)
+        for i, row in enumerate(self._rows):
+            if set(map(type, row)) != {int}:
+                j, x = next((j, x) for j, x in enumerate(row) if type(x) is not int)
+                raise TypeError(f"matrix entry ({i}, {j}) must be an int, got {x!r}")
+        return self
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
         if not rows:
             raise ValueError("need at least one row")
-        width = len(rows[0])
-        for r in rows:
-            if len(r) != width:
-                raise ValueError("all rows must have the same length")
-        return cls(len(rows), width, list(chain.from_iterable(rows)))
+        return cls.__new__(cls)._store(map(tuple, rows))
 
     @classmethod
     def identity(cls, k: int) -> "IntMatrix":
         """The k x k identity; k as in check_int, at least 1."""
         check_int(k, "identity order", 1)
-        data = [0] * (k * k)
-        for i in range(k):
-            data[i * k + i] = 1
-        return cls(k, k, data)
+        return cls.from_rows([[0] * i + [1] + [0] * (k - 1 - i) for i in range(k)])
 
     def row(self, i: int) -> tuple[int, ...]:
         if type(i) is not int:
             raise TypeError(f"row index must be an int, got {i!r}")
         if not 0 <= i < self.rows:
             raise IndexError(f"row {i} is out of range for a matrix of {self.rows} rows")
-        return self._data[i * self.cols : (i + 1) * self.cols]
+        return self._rows[i]
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        return iter(self._rows)
 
     def to_rows(self) -> list[list[int]]:
         """Mutable copy as a list of row lists."""
-        c = self.cols
-        return [list(self._data[i * c : (i + 1) * c]) for i in range(self.rows)]
+        return [list(r) for r in self._rows]
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         """The dense form of support_product: the product of the two
@@ -88,22 +91,19 @@ class IntMatrix:
             raise ValueError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        cols = other.cols
-        out = [0] * (self.rows * cols)
-        for i, support in enumerate(support_product(row_support(self), row_support(other))):
+        out = [[0] * other.cols for _ in range(self.rows)]
+        for row, support in zip(out, support_product(row_support(self), row_support(other))):
             for j, x in support:
-                out[i * cols + j] = x
-        return IntMatrix(self.rows, cols, out)
+                row[j] = x
+        return IntMatrix.from_rows(out)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntMatrix):
             return NotImplemented
-        return (
-            self.rows == other.rows and self.cols == other.cols and self._data == other._data
-        )
+        return self._rows == other._rows  # every matrix has a row, so the rows fix the shape
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self._data))
+        return hash(self._rows)
 
     def __repr__(self) -> str:
         return f"IntMatrix({self.rows}x{self.cols})"
@@ -118,7 +118,7 @@ def row_support(m: IntMatrix) -> list[list[tuple[int, int]]]:
     are picked by itertools.compress, so the Python loop visits only them.
     """
     cols = range(m.cols)
-    return [[(j, row[j]) for j in compress(cols, row)] for row in map(m.row, range(m.rows))]
+    return [[(j, row[j]) for j in compress(cols, row)] for row in m]
 
 
 def support_product(
@@ -160,11 +160,9 @@ def _three_term_walk(m: IntMatrix, c: int) -> IntMatrix:
             for j, val in row:
                 acc += val * v[j]
             nxt.append(acc)
-        # with c = 0 prev stays the zero column, so W's wide entries are
-        # never multiplied by 0
-        prev, v = (v if c else prev), nxt
+        prev, v = v, nxt
         cols.append(v)
-    return IntMatrix(k, k, list(chain.from_iterable(zip(*cols))))
+    return IntMatrix.from_rows(list(zip(*cols)))
 
 
 def walk_matrix(m: IntMatrix) -> IntMatrix:
@@ -230,7 +228,7 @@ def _bareiss(m: IntMatrix) -> tuple[int, int, int]:
     touched. In W of a graph of order k, with rank well below k, those are
     the widest columns (A^j·1 for large j).
     """
-    a = [list(r) for r in dict.fromkeys(map(m.row, range(m.rows))) if any(r)]
+    a = [list(r) for r in dict.fromkeys(m) if any(r)]
     nrows, ncols = len(a), m.cols
     steps: list[tuple[int, int, int]] = []
     prev = 1
@@ -323,7 +321,7 @@ def rank_modular(m: IntMatrix, p: int) -> int:
         raise ValueError(f"modulus must be prime, got {p}")
     # tuple() of a list: a tuple grown from a generator is resized as it
     # fills, which left 0.8 MB more peak memory over perfbench's matrix corpus
-    reduced = (tuple([x % p for x in m.row(i)]) for i in range(m.rows))
+    reduced = (tuple([x % p for x in r]) for r in m)
     a = [list(r) for r in dict.fromkeys(reduced) if any(r)]
     nrows, ncols = len(a), m.cols
     r = 0
@@ -398,7 +396,7 @@ def read_int_table(
 def format_matrix_text(m: IntMatrix) -> str:
     """Text form: header `rows cols`, then one space-separated row per line."""
     lines = [f"{m.rows} {m.cols}"]
-    lines.extend(" ".join(str(x) for x in m.row(i)) for i in range(m.rows))
+    lines.extend(" ".join(str(x) for x in r) for r in m)
     return "\n".join(lines) + "\n"
 
 

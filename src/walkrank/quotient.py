@@ -122,12 +122,11 @@ def divisor_matrix(g: Graph, p: EquitablePartition) -> IntMatrix:
     witness = _equitability_witness(p, counts)
     if witness is not None:
         raise NotEquitableError(*witness)
-    k = p.cell_count
-    data = [0] * (k * k)
-    for i, cell in enumerate(p.cells):
+    rows = [[0] * p.cell_count for _ in p.cells]
+    for row, cell in zip(rows, p.cells):
         for j, c in counts[next(iter(cell))].items():
-            data[i * k + j] = c
-    return IntMatrix(k, k, data)
+            row[j] = c
+    return IntMatrix.from_rows(rows)
 
 
 def hat_walk_matrix(w: IntMatrix) -> IntMatrix:
@@ -135,7 +134,7 @@ def hat_walk_matrix(w: IntMatrix) -> IntMatrix:
     size = square_order(w)
     if size < 5:
         raise ValueError(f"need at least a 5x5 walk matrix, got {size}x{size}")
-    return IntMatrix.from_rows([w.row(i)[: size - 2] for i in range(1, size - 1)])
+    return IntMatrix.from_rows([r[: size - 2] for r in list(w)[1:-1]])
 
 
 def build_w_prime(hat: IntMatrix) -> IntMatrix:
@@ -145,6 +144,5 @@ def build_w_prime(hat: IntMatrix) -> IntMatrix:
     it back to the size of w: the first row, the last row and the last two
     columns are zero.
     """
-    size = hat.rows + 2
-    padded = [row + [0, 0] for row in hat.to_rows()]
-    return IntMatrix.from_rows([[0] * size, *padded, [0] * size])
+    zero = (0,) * (hat.rows + 2)
+    return IntMatrix.from_rows([zero, *((*row, 0, 0) for row in hat), zero])

@@ -189,8 +189,8 @@ def _snf_of_trim(hat: IntMatrix, core: IntMatrix, snf_w: SnfResult) -> SnfResult
     eliminated on its own. It is never empty: column 0 of a walk matrix is
     all ones.
     """
-    rows = distinct_nonzero_rows(hat.row(i)[: core.cols] for i in range(hat.rows))
-    if rows == list(map(core.row, range(core.rows))):
+    rows = distinct_nonzero_rows(r[: core.cols] for r in hat)
+    if rows == list(core):
         return snf_w
     return smith_normal_form(IntMatrix.from_rows(rows))
 

@@ -89,7 +89,7 @@ def walk_core(w: IntMatrix) -> IntMatrix:
     combination of E_0, ..., E_{d-1}. Scans cut W_E. A matrix with no
     nonzero row raises ValueError.
     """
-    rows = distinct_nonzero_rows(map(w.row, range(w.rows)))
+    rows = distinct_nonzero_rows(w)
     return IntMatrix.from_rows([r[: len(rows)] for r in rows])
 
 
@@ -111,7 +111,7 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
     first, keeps dense input's entries small.
     """
     ncols = m.cols
-    a = list(map(list, distinct_nonzero_rows(map(m.row, range(m.rows)))))
+    a = list(map(list, distinct_nonzero_rows(m)))
     nrows = len(a)
     diag: list[int] = []
     t, pos = 0, _min_abs_nonzero(a, 0, nrows, ncols)

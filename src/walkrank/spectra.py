@@ -53,8 +53,8 @@ class ClosedFormEigenpair:
 def _too_large(m: IntMatrix) -> NoReturn:
     """Raise ValueError naming the (row, col) of m's largest entry in absolute
     value: called when converting m to floats overflowed."""
-    size = [abs(x) for i in range(m.rows) for x in m.row(i)]
-    i, j = divmod(size.index(max(size)), m.cols)
+    big = max(abs(x) for row in m for x in row)
+    i, j = next((i, j) for i, row in enumerate(m) for j, x in enumerate(row) if abs(x) == big)
     raise ValueError(f"matrix entry at ({i}, {j}) is too large for a float") from None
 
 
@@ -182,7 +182,7 @@ def symmetric_eigen(
     float still differ. An entry too large for a float raises ValueError.
     """
     k = square_order(m)
-    rows = list(map(m.row, range(k)))
+    rows = list(m)
     if rows != list(zip(*rows)):
         i, j = next((i, j) for i in range(k) for j in range(i + 1, k) if rows[i][j] != rows[j][i])
         raise ValueError(f"matrix is not symmetric at ({i}, {j})")

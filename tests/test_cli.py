@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import json
 import os
@@ -13,7 +14,14 @@ import walkrank.snf as snf
 import walkrank.spectra as spectra
 from walkrank.cli import main
 from walkrank.graphs import adjacency_matrix, format_edge_list, make_extended_dynkin, make_path
-from walkrank.intmatrix import format_matrix_text, parse_matrix_text, walk_matrix
+from walkrank.intmatrix import (
+    chebyshev_walk_matrix,
+    format_matrix_text,
+    parse_matrix_text,
+    rank_fraction_free,
+    rank_modular,
+    walk_matrix,
+)
 from walkrank.quotient import canonical_partition, characteristic_matrix, divisor_matrix
 from walkrank.reports import parse_scan_json, scan
 
@@ -22,6 +30,20 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_main_leaves_no_reference_cycles(capsys):
+    # argparse ties a parser and its actions into cycles, so a parser built
+    # per call left hundreds of objects that only the cyclic collector frees
+    main(["gen", "path", "5"])
+    gc.collect()
+    gc.disable()
+    try:
+        main(["gen", "path", "5"])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert capsys.readouterr().out == "path:5 has 5 vertices and 4 edges\n" * 2
 
 
 class TestGen:
@@ -180,6 +202,45 @@ class TestSnf:
         # D̃_9 and P_9, and D_9 swaps two leaves only; a file is eliminated whole
         assert shapes == [(4, 4), (5, 5), (8, 8), (10, 10)]
         assert outs[0] == outs[3]
+
+
+class TestFamilySpecsEliminateWE:
+    """`rank` and `snf` on a family spec eliminate the Chebyshev-basis W_E = W·U
+    and print what the library computes on the paper's W."""
+
+    @pytest.mark.parametrize("family", sorted(cli.FAMILIES))
+    def test_output_is_that_of_raw_w(self, capsys, family):
+        for n in range(4, 41):
+            spec = f"{family}:{n}"
+            w = walk_matrix(adjacency_matrix(cli.FAMILIES[family](n)))
+            factors = snf.smith_normal_form(w).invariant_factors
+            padded = [*factors, *[0] * (w.rows - len(factors))]
+            expected = {
+                ("rank", spec, "--method", "bareiss"): f"{rank_fraction_free(w)}\n",
+                ("rank", spec, "--method", "snf"): f"{len(factors)}\n",
+                ("rank", spec, "--method", "mod:7"): f"{rank_modular(w, 7)}\n",
+                ("snf", spec): f"{','.join(map(str, factors))}\ndiag({','.join(map(str, padded))})\n",
+            }
+            for argv, out in expected.items():
+                assert run_cli(capsys, *argv) == (0, out, ""), argv
+
+    def test_load_matrix_never_builds_raw_w(self, capsys, monkeypatch):
+        calls = []
+        real = cli.walk_matrix
+
+        def spy(m):
+            calls.append(m.rows)
+            return real(m)
+
+        monkeypatch.setattr(cli, "walk_matrix", spy)
+        for family, make in cli.FAMILIES.items():
+            m, core = cli._load_matrix(f"{family}:9")
+            assert m == chebyshev_walk_matrix(adjacency_matrix(make(9)))
+            assert core == snf.walk_core(m)
+        assert calls == []
+        # the spy sees walk, which prints the paper's W
+        assert run_cli(capsys, "walk", "ext-dynkin:9")[0] == 0
+        assert calls == [10]
 
 
 class TestQuotient:

@@ -61,6 +61,20 @@ class TestCheckInt:
         check_int(-7, "size")
 
 
+# every way a matrix is made, each read back through the row contract
+_ROW_SOURCES = {
+    "flat": lambda: IntMatrix(2, 3, [1, -2, 3, 4, 0, 6]),
+    "from_rows": lambda: IntMatrix.from_rows([[1, 2], [3, 4], [5, 6]]),
+    "identity": lambda: IntMatrix.identity(4),
+    "matmul": lambda: (
+        IntMatrix.from_rows([[1, 2], [0, 3], [0, 0]]) @ IntMatrix.from_rows([[4, 0, 1], [2, 5, 0]])
+    ),
+    "walk_matrix": lambda: walk_matrix(adjacency_matrix(make_extended_dynkin(8))),
+    "chebyshev_walk_matrix": lambda: chebyshev_walk_matrix(adjacency_matrix(make_dynkin(7))),
+    "parse_matrix_text": lambda: parse_matrix_text("2 3\n1 2 3\n-4 5 6\n"),
+}
+
+
 class TestIntMatrix:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -159,6 +173,19 @@ class TestIntMatrix:
     def test_matmul_shape_error(self):
         with pytest.raises(ValueError):
             IntMatrix.identity(2) @ IntMatrix.identity(3)
+
+    @pytest.mark.parametrize("make", _ROW_SOURCES.values(), ids=_ROW_SOURCES.keys())
+    def test_iteration_yields_the_rows_and_to_rows_is_a_copy(self, make):
+        m = make()
+        rows = list(m)
+        assert rows == [m.row(i) for i in range(m.rows)]
+        assert all(type(r) is tuple and len(r) == m.cols for r in rows)
+        copy = m.to_rows()
+        for r in copy:
+            r[0] += 1
+            r.append(0)
+        copy.append([0] * (m.cols + 1))
+        assert list(m) == rows and m == make()
 
 
 def _seeded_pair(seed, kind, rows, inner, cols):

@@ -119,7 +119,7 @@ MUTANTS = [
     # SNF(W') is read from SNF(W) only when the trim's cut rows are W's
     (
         "walkrank/reports.py",
-        "if rows == list(map(core.row, range(core.rows))):",
+        "if rows == list(core):",
         "if True:",
     ),
     # W's core keeps d columns; a cut at d + 1 keeps the factors too, so
@@ -149,6 +149,12 @@ MUTANTS = [
         "walkrank/quotient.py",
         "return (i + 1, min(bad) + 1)",
         "return (i + 1, max(bad) + 1)",
+    ),
+    # an IntMatrix is read by iterating its rows: every row, in order
+    (
+        "walkrank/intmatrix.py",
+        "return iter(self._rows)",
+        "return iter(self._rows[:-1])",
     ),
     # the one home of the rule that an integer argument is exactly an int
     (
