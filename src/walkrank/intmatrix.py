@@ -240,11 +240,7 @@ def _bareiss(m: IntMatrix) -> tuple[int, int, int]:
         for s, (cs, p, q) in enumerate(steps):
             xs = a[s][c]
             for row in a[s + 1 :]:
-                f = row[cs]
-                if f:
-                    row[c] = (p * row[c] - f * xs) // q
-                elif p != q:
-                    row[c] = (p * row[c]) // q
+                row[c] = (p * row[c] - row[cs] * xs) // q
         piv = _pick_pivot(a, c, r, nrows)
         if piv < 0:
             continue
@@ -331,17 +327,15 @@ def rank_modular(m: IntMatrix, p: int) -> int:
         piv = next((i for i in range(r, nrows) if a[i][c]), -1)
         if piv < 0:
             continue
-        if piv != r:
-            a[r], a[piv] = a[piv], a[r]
-        inv = pow(a[r][c], p - 2, p)
+        a[r], a[piv] = a[piv], a[r]
         prow = a[r]
+        inv = pow(prow[c], -1, p)
         for i in range(r + 1, nrows):
             f = a[i][c]
             if f:
                 mult = f * inv % p
-                arow = a[i]
-                for j in range(c, ncols):
-                    arow[j] = (arow[j] - mult * prow[j]) % p
+                # the entries left of c are 0 in both rows
+                a[i] = [(x - mult * y) % p for x, y in zip(a[i], prow)]
         r += 1
     return r
 

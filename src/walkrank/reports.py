@@ -385,13 +385,16 @@ def _report(record: object) -> VerifyReport:
 
 
 def reports_to_json(reports: Sequence[VerifyReport]) -> str:
-    """Each report as a JSON object of its fields, in _REPORT_FIELDS order.
+    """Each report as a JSON object of its fields, in _REPORT_FIELDS order,
+    one compact object per line of one JSON array.
 
     The fields are read with getattr, not dataclasses.asdict, which would
-    deep-copy every factor tuple and the timings only to encode them.
+    deep-copy every factor tuple and the timings only to encode them. Each
+    object is encoded alone, without indent: an indent runs json's
+    pure-Python encoder, whose closures leave reference cycles behind.
     """
     records = [{name: getattr(r, name) for name in _REPORT_FIELDS} for r in reports]
-    return json.dumps(records, indent=2) + "\n"
+    return "[\n" + ",\n".join(map(json.dumps, records)) + "\n]\n"
 
 
 def parse_scan_json(text: str) -> list[VerifyReport]:

@@ -54,16 +54,18 @@ def _min_abs_nonzero(a: list[list[int]], t: int, nrows: int, ncols: int) -> tupl
 
 
 def _divisibility_fixup(diag: list[int]) -> list[int]:
-    """Turn positive diagonal entries into a divisibility chain via gcd/lcm passes."""
+    """Turn positive diagonal entries into a divisibility chain in one pass,
+    setting (d_i, d_j) to (gcd, lcm) for each pair i < j where d_i ∤ d_j.
+
+    After step i, d_i divides every later entry; the gcd and lcm of two
+    multiples of d_i are again multiples of d_i, so later steps keep that.
+    """
     d = list(diag)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(d) - 1):
-            if d[i + 1] % d[i]:
-                g = gcd(d[i], d[i + 1])
-                d[i], d[i + 1] = g, d[i] * d[i + 1] // g
-                changed = True
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            if d[j] % d[i]:
+                g = gcd(d[i], d[j])
+                d[i], d[j] = g, d[i] * d[j] // g
     return d
 
 

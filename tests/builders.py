@@ -8,6 +8,12 @@ def random_matrix(rng, rows, cols, bound=9):
     return IntMatrix(rows, cols, [rng.randint(-bound, bound) for _ in range(rows * cols)])
 
 
+def diagonal(entries):
+    """The square IntMatrix with entries on its diagonal and 0 elsewhere."""
+    k = len(entries)
+    return IntMatrix.from_rows([[0] * i + [x] + [0] * (k - 1 - i) for i, x in enumerate(entries)])
+
+
 def det_cofactor(rows):
     """Independent determinant by first-row cofactor expansion."""
     k = len(rows)

@@ -4,7 +4,7 @@ from enum import IntEnum
 
 import pytest
 
-from builders import det_cofactor, random_matrix, three_term_basis, w8
+from builders import det_cofactor, diagonal, random_matrix, three_term_basis, w8
 from d8_data import W8_RANK, W8_ROWS
 from walkrank.graphs import adjacency_matrix, make_dynkin, make_extended_dynkin, make_path
 from walkrank.intmatrix import (
@@ -22,7 +22,7 @@ from walkrank.intmatrix import (
     walk_matrix,
 )
 from walkrank.quotient import canonical_partition, divisor_matrix
-from walkrank.snf import rank_via_snf
+from walkrank.snf import rank_via_snf, smith_normal_form
 
 
 class _Sub(int):
@@ -416,6 +416,21 @@ class TestRankModular:
             mod_ranks = [rank_modular(m, p) for p in primes]
             assert all(r <= exact for r in mod_ranks)
             assert max(mod_ranks) == exact
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_counts_the_invariant_factors_that_p_does_not_divide(self, p):
+        # over GF(p), m has rank #{d : p does not divide d} for its invariant
+        # factors d; the SNF shares no elimination code with rank_modular.
+        # U·D·V with multiples of 2, 3, 5 and 7 in D drops the rank mod p
+        rng = random.Random(p)
+        for _ in range(60):
+            rows, inner, cols = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
+            d = [rng.choice((0, 1, 2, 3, 5, 6, 7, 10, 14, 15, 21, 35, 49)) for _ in range(inner)]
+            u, v = random_matrix(rng, rows, inner, 3), random_matrix(rng, inner, cols, 3)
+            product = u @ diagonal(d) @ v
+            for m in (random_matrix(rng, rows, cols, 4), product):
+                factors = smith_normal_form(m).invariant_factors
+                assert rank_modular(m, p) == sum(1 for x in factors if x % p)
 
     @pytest.mark.parametrize("n", range(4, 25))
     def test_lower_bound_on_walk_matrices(self, n):

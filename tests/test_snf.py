@@ -5,7 +5,7 @@ from math import gcd, prod
 
 import pytest
 
-from builders import det_cofactor, random_matrix, three_term_basis, w8
+from builders import det_cofactor, diagonal, random_matrix, three_term_basis, w8
 from d8_data import W8_FACTORS, W8_PRIME_ROWS, W8_RANK
 from walkrank.graphs import adjacency_matrix, make_dynkin, make_extended_dynkin, make_path
 from walkrank.intmatrix import (
@@ -95,6 +95,11 @@ class TestSmithNormalForm:
             IntMatrix.from_rows([[1, 2], [3, 4]]),
             IntMatrix.from_rows([[6, 0], [0, 10], [0, 0]]),
         ]
+        # diagonals whose chain needs gcd/lcm on pairs that are not adjacent
+        chains = {(6, 10, 15): (1, 30, 30), (4, 6, 9, 10): (1, 2, 6, 180)}
+        for d, chain in chains.items():
+            cases.append(diagonal(d))
+            assert smith_normal_form(cases[-1]).invariant_factors == chain
         for m in cases:
             assert smith_normal_form(m).invariant_factors == _factors_via_minor_gcds(m)
 

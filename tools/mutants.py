@@ -71,8 +71,18 @@ MUTANTS = [
     ),
     (
         "walkrank/intmatrix.py",
-        "elif p != q:",
-        "elif False:",
+        "row[c] = (p * row[c] - row[cs] * xs) // q",
+        "row[c] = (row[c] - row[cs] * xs) // q",
+    ),
+    (
+        "walkrank/snf.py",
+        "for j in range(i + 1, len(d)):",
+        "for j in range(i + 1, min(i + 2, len(d))):",
+    ),
+    (
+        "walkrank/intmatrix.py",
+        "a[i] = [(x - mult * y) % p for x, y in zip(a[i], prow)]",
+        "a[i] = [x - mult * y for x, y in zip(a[i], prow)]",
     ),
     (
         "walkrank/spectra.py",
