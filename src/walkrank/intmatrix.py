@@ -46,20 +46,21 @@ class IntMatrix:
     def _store(self, rows: Iterable[tuple[int, ...]]) -> "IntMatrix":
         """Every constructor ends here: keep rows of one width >= 1 of exact ints; return self."""
         self._rows = tuple(rows)
+        if not self._rows:
+            raise ValueError("need at least one row")
         self.rows, self.cols = len(self._rows), len(self._rows[0])
         if any(len(r) != self.cols for r in self._rows):
             raise ValueError("all rows must have the same length")
         check_int(self.cols, "matrix cols", 1)
         for i, row in enumerate(self._rows):
+            # one type screen per row: check_int runs per entry only on a row that fails it
             if set(map(type, row)) != {int}:
-                j, x = next((j, x) for j, x in enumerate(row) if type(x) is not int)
-                raise TypeError(f"matrix entry ({i}, {j}) must be an int, got {x!r}")
+                for j, x in enumerate(row):
+                    check_int(x, f"matrix entry ({i}, {j})")
         return self
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
-        if not rows:
-            raise ValueError("need at least one row")
+    def from_rows(cls, rows: Iterable[Sequence[int]]) -> "IntMatrix":
         return cls.__new__(cls)._store(map(tuple, rows))
 
     @classmethod
@@ -67,13 +68,6 @@ class IntMatrix:
         """The k x k identity; k as in check_int, at least 1."""
         check_int(k, "identity order", 1)
         return cls.from_rows([[0] * i + [1] + [0] * (k - 1 - i) for i in range(k)])
-
-    def row(self, i: int) -> tuple[int, ...]:
-        if type(i) is not int:
-            raise TypeError(f"row index must be an int, got {i!r}")
-        if not 0 <= i < self.rows:
-            raise IndexError(f"row {i} is out of range for a matrix of {self.rows} rows")
-        return self._rows[i]
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
         return iter(self._rows)

@@ -45,9 +45,35 @@ class SpectrumReport:
 
 @dataclass(frozen=True)
 class ClosedFormEigenpair:
+    """A claimed eigenpair, numbered k, with its eigenvalue and vector stored
+    as floats. TypeError naming the pair and the entry unless each is an int
+    or a float, bools refused, and ValueError naming the pair unless each is
+    finite and fits in a float. k is not checked."""
+
     k: int
     eigenvalue: float
     vector: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        name, eigenvalue, vector = f"eigenpair k={self.k}", self.eigenvalue, self.vector
+        # math.isfinite(True) holds, so True would read as 1.0
+        if type(eigenvalue) not in (int, float):
+            raise TypeError(f"{name}: eigenvalue must be an int or a float, got {eigenvalue!r}")
+        if not {int, float}.issuperset(map(type, vector)):
+            i, x = next((i, x) for i, x in enumerate(vector) if type(x) not in (int, float))
+            raise TypeError(f"{name}: vector entry {i} must be an int or a float, got {x!r}")
+        try:
+            lam, v = float(eigenvalue), tuple(map(float, vector))
+        except OverflowError:
+            raise ValueError(f"{name}: an int entry is too large for a float") from None
+        # max(0.0, nan) is 0.0, so a NaN would read as a perfect residual
+        if not math.isfinite(lam):
+            raise ValueError(f"{name}: eigenvalue is not finite: {eigenvalue}")
+        if not all(map(math.isfinite, v)):
+            i = next(i for i, x in enumerate(v) if not math.isfinite(x))
+            raise ValueError(f"{name}: vector entry {i} is not finite: {vector[i]}")
+        object.__setattr__(self, "eigenvalue", lam)
+        object.__setattr__(self, "vector", v)
 
 
 def _too_large(m: IntMatrix) -> NoReturn:
@@ -331,43 +357,16 @@ def divisor_eigenpairs(n: int) -> list[ClosedFormEigenpair]:
     return pairs
 
 
-def _float_pair(pair: ClosedFormEigenpair) -> tuple[float, list[float]]:
-    """The eigenvalue and vector of pair as floats. TypeError naming the pair
-    and the entry unless all are ints or floats, bools refused, and
-    ValueError naming the pair unless all are finite and fit in a float."""
-    name, eigenvalue, vector = f"eigenpair k={pair.k}", pair.eigenvalue, pair.vector
-    # math.isfinite(True) holds, so True would read as 1.0
-    if type(eigenvalue) not in (int, float):
-        raise TypeError(f"{name}: eigenvalue must be an int or a float, got {eigenvalue!r}")
-    if not {int, float}.issuperset(map(type, vector)):
-        i = next(i for i, x in enumerate(vector) if type(x) not in (int, float))
-        raise TypeError(f"{name}: vector entry {i} must be an int or a float, got {vector[i]!r}")
-    try:
-        lam, v = float(eigenvalue), list(map(float, vector))
-    except OverflowError:
-        raise ValueError(f"{name}: an int entry is too large for a float") from None
-    if not math.isfinite(lam):
-        raise ValueError(f"{name}: eigenvalue is not finite: {eigenvalue}")
-    if not all(map(math.isfinite, v)):
-        i = next(i for i, x in enumerate(v) if not math.isfinite(x))
-        raise ValueError(f"{name}: vector entry {i} is not finite: {vector[i]}")
-    return lam, v
-
-
 def eigenpair_residual(m: IntMatrix, pair: ClosedFormEigenpair) -> float:
     """Max-norm of (m^T v - lambda v) for one claimed eigenpair of m^T.
 
-    m as in square_order. A NaN or infinite eigenvalue or vector entry, or an
-    int one too large for a float, raises ValueError naming the pair, and one
-    that is not an int or a float (a bool included) TypeError. The pair is
-    converted to floats first, so the residual is a float even for an
-    all-int pair. An entry of m too large for a float raises ValueError
-    naming m's largest entry.
+    m as in square_order; the pair has checked itself and holds floats, so
+    the residual is a float. An entry of m too large for a float raises
+    ValueError naming m's largest entry.
     """
     if square_order(m) != len(pair.vector):
         raise ValueError("matrix and eigenvector sizes disagree")
-    # max(0.0, nan) is 0.0, so a NaN would read as a perfect residual
-    lam, v = _float_pair(pair)
+    lam, v = pair.eigenvalue, pair.vector
     # the nonzero terms of each column of m^T v, in row order: a zero term
     # never changes a float sum, so sum() of them equals sum() of the whole
     # column. sum() and not +=: from Python 3.12 sum() compensates rounding

@@ -58,7 +58,7 @@ def test_criterion_01_walk_matrix_bit_exact():
     with criterion(1, "order-8 walk matrix, all 81 entries exact", 0.010):
         w = _w(8)
         assert w.to_rows() == W8_ROWS
-        assert w.row(4) == (1, 2, 4, 10, 16, 42, 64, 170, 256)
+        assert list(w)[4] == (1, 2, 4, 10, 16, 42, 64, 170, 256)
 
 
 def test_criterion_02_smith_normal_form_of_order8_pair():

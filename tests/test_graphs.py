@@ -66,7 +66,7 @@ def test_make_extended_dynkin_vertex_three_walk_counts():
     assert g.order == 9
     assert _degrees(g)[2] == 3
     w = walk_matrix(adjacency_matrix(g))
-    assert w.row(2)[:2] == (1, 3)
+    assert list(w)[2][:2] == (1, 3)
 
 
 @pytest.mark.parametrize("n", [0, -1])
@@ -136,7 +136,7 @@ def test_adjacency_matrix_path2():
 
 def test_adjacency_matrix_star_row():
     a = adjacency_matrix(make_extended_dynkin(4))
-    assert a.row(2) == (1, 1, 0, 1, 1)
+    assert list(a)[2] == (1, 1, 0, 1, 1)
 
 
 @pytest.mark.parametrize("n", range(4, 16))
@@ -159,7 +159,7 @@ def test_row_sums_match_length_one_walk_counts(n):
     g = make_extended_dynkin(n)
     a = adjacency_matrix(g)
     w = walk_matrix(a)
-    row_sums = tuple(sum(a.row(i)) for i in range(a.rows))
+    row_sums = tuple(map(sum, a))
     assert row_sums == tuple(r[1] for r in w.to_rows())
 
 

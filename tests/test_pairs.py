@@ -1,5 +1,6 @@
 """tools/pairs.py turns every run that gives no usable result into its
-Failed error, which main reports with exit 1, instead of a traceback."""
+Failed error, which main reports with exit 1, instead of a traceback, and
+keeps its warm-up runs out of the summary."""
 
 import importlib.util
 import json
@@ -77,3 +78,40 @@ def test_a_line_that_is_no_result_fails(tmp_path, line):
 def test_a_nonzero_exit_fails(tmp_path):
     with pytest.raises(pairs.Failed, match="exited 3"):
         pairs.run_once(_tree(tmp_path, json.dumps(_good()), code=3), "exact-scan", 0.1)
+
+
+def _slow_first_tree(tree):
+    """A tree whose perfbench/run.py reports 9.9 for every metric on its first
+    call there (counted in a file in the tree) and 0.5 after that."""
+    script = tree / "perfbench" / "run.py"
+    script.parent.mkdir(parents=True)
+    script.write_text(
+        textwrap.dedent(
+            f"""\
+            import json, pathlib
+            counter = pathlib.Path("calls")
+            calls = int(counter.read_text()) if counter.exists() else 0
+            counter.write_text(str(calls + 1))
+            value = 9.9 if calls == 0 else 0.5
+            metrics = {{name: {{"value": value, "unit": "s"}} for name in {list(pairs.BETTER)!r}}}
+            print(json.dumps({{"correct": True, "attempted": 3, "failed": 0, "metrics": metrics}}))
+            """
+        )
+    )
+    return tree
+
+
+def test_the_warm_up_runs_are_discarded(tmp_path, capsys):
+    trees = {side: _slow_first_tree(tmp_path / side) for side in ("parent", "change")}
+    summary = pairs.measure(trees, 2, 0.1)
+    assert "9.9" not in json.dumps(summary)
+    for workload in pairs.WORKLOADS:
+        for side in trees:
+            assert summary[workload]["wall_s"][side]["values"] == [0.5, 0.5]
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:3] for line in lines if line.startswith("warm-up")] == [
+        ["warm-up", pairs.WORKLOADS[0], "parent:"],
+        ["warm-up", pairs.WORKLOADS[0], "change:"],
+    ]
+    for tree in trees.values():
+        assert (tree / "calls").read_text() == str(1 + 2 * len(pairs.WORKLOADS))

@@ -169,7 +169,7 @@ class TestVerify:
         # count of distinct nonzero rows, as the proof needs
         bad_trim = _trim_one_entry_off(w)
         assert walk_core(bad_trim).cols != n // 2
-        cut = distinct_nonzero_rows(bad_trim.row(i)[: n // 2] for i in range(bad_trim.rows))
+        cut = distinct_nonzero_rows(r[: n // 2] for r in bad_trim)
         monkeypatch.setattr(reports, "hat_walk_matrix", _trim_one_entry_off)
         seen.clear()
         run_checks(n, checks)

@@ -248,7 +248,7 @@ class TestWalkCore:
         for n in range(4, 61):
             w = walk_matrix(adjacency_matrix(family(n)))
             core = walk_core(w)
-            rows = [core.row(i) for i in range(core.rows)]
+            rows = list(core)
             assert len(set(rows)) == len(rows) and all(map(any, rows)), n
             assert smith_normal_form(core) == smith_normal_form(w), n
 
@@ -305,13 +305,13 @@ class TestBuildWPrime:
         assert build_w_prime(hat_walk_matrix(w8())).to_rows() == W8_PRIME_ROWS
 
     def test_order8_second_row(self):
-        assert build_w_prime(hat_walk_matrix(w8())).row(1) == (1, 1, 3, 4, 11, 16, 43, 0, 0)
+        assert list(build_w_prime(hat_walk_matrix(w8())))[1] == (1, 1, 3, 4, 11, 16, 43, 0, 0)
 
     @pytest.mark.parametrize("n", range(4, 16))
     def test_zero_border(self, n):
         w = walk_matrix(adjacency_matrix(make_extended_dynkin(n)))
         wp = build_w_prime(hat_walk_matrix(w))
         size = n + 1
-        assert wp.row(0) == (0,) * size
-        assert wp.row(size - 1) == (0,) * size
+        assert list(wp)[0] == (0,) * size
+        assert list(wp)[size - 1] == (0,) * size
         assert all(r[size - 2 :] == [0, 0] for r in wp.to_rows())

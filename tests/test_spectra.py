@@ -46,11 +46,11 @@ def _eigenvector(m, lam):
 
 def _dense_residual(m, pair):
     """The entrywise loop the residual used to run, column by column: the reference."""
-    k = m.rows
+    k, rows = m.rows, list(m)
     v = pair.vector
     want = 0.0
     for j in range(k):
-        s = sum(m.row(i)[j] * v[i] for i in range(k))
+        s = sum(rows[i][j] * v[i] for i in range(k))
         want = max(want, abs(s - pair.eigenvalue * v[j]))
     return want
 
@@ -623,18 +623,42 @@ def test_eigenpair_residual_rejects_size_mismatch():
 def test_eigenpair_residual_rejects_non_finite_eigenvalue(bad):
     # max(0.0, nan) is 0.0: a NaN used to pass as a perfect residual
     b = divisor_matrix(make_extended_dynkin(6), canonical_partition(6))
-    pair = replace(divisor_eigenpairs(6)[1], eigenvalue=bad)
     with pytest.raises(ValueError, match=r"eigenpair k=1: eigenvalue is not finite"):
-        eigenpair_residual(b, pair)
+        eigenpair_residual(b, replace(divisor_eigenpairs(6)[1], eigenvalue=bad))
 
 
 @pytest.mark.parametrize("bad", _NON_FINITE_VALUES)
 def test_eigenpair_residual_rejects_non_finite_vector_entry(bad):
     b = divisor_matrix(make_extended_dynkin(6), canonical_partition(6))
     pair = divisor_eigenpairs(6)[1]
-    pair = replace(pair, vector=(bad,) + pair.vector[1:])
     with pytest.raises(ValueError, match=r"eigenpair k=1: vector entry 0 is not finite"):
-        eigenpair_residual(b, pair)
+        eigenpair_residual(b, replace(pair, vector=(bad,) + pair.vector[1:]))
+
+
+# each value and the end of its message; these pairs were built without
+# error, and only eigenpair_residual refused them
+_UNBUILDABLE = [
+    pytest.param(True, TypeError, "{} must be an int or a float, got True", id="bool"),
+    pytest.param("1", TypeError, "{} must be an int or a float, got '1'", id="string"),
+    pytest.param(math.nan, ValueError, "{} is not finite: nan", id="nan"),
+    pytest.param(math.inf, ValueError, "{} is not finite: inf", id="inf"),
+    pytest.param(-math.inf, ValueError, "{} is not finite: -inf", id="minus-inf"),
+    pytest.param(2**1024, ValueError, "an int entry is too large for a float", id="2**1024"),
+]
+
+
+@pytest.mark.parametrize("bad, error, message", _UNBUILDABLE)
+def test_a_pair_checks_itself_when_it_is_built(bad, error, message):
+    for where, pair in [("eigenvalue", (bad, (1.0, 0.0))), ("vector entry 1", (1.0, (1.0, bad)))]:
+        with pytest.raises(error, match=re.escape("eigenpair k=3: " + message.format(where))):
+            ClosedFormEigenpair(3, *pair)
+
+
+def test_a_pair_stores_floats():
+    pair = ClosedFormEigenpair(3, 2, [0, 1])
+    assert type(pair.eigenvalue) is float and pair.eigenvalue == 2.0
+    assert type(pair.vector) is tuple and list(map(type, pair.vector)) == [float, float]
+    assert pair.vector == (0.0, 1.0) and pair.k == 3
 
 
 def test_eigenpair_residual_rejects_a_bool_pair():

@@ -166,6 +166,18 @@ MUTANTS = [
         "return iter(self._rows)",
         "return iter(self._rows[:-1])",
     ),
+    # every constructor ends in _store, which refuses a matrix with no row
+    (
+        "walkrank/intmatrix.py",
+        "if not self._rows:",
+        "if False:",
+    ),
+    # a claimed eigenpair refuses a non-finite vector entry when it is built
+    (
+        "walkrank/spectra.py",
+        "if not all(map(math.isfinite, v)):",
+        "if False:",
+    ),
     # the one home of the rule that an integer argument is exactly an int
     (
         "walkrank/intmatrix.py",

@@ -12,7 +12,11 @@ BENCHMARK.json, each pair runs
 `python3 perfbench/run.py --workload W --seconds T --trace 0` once in each
 tree, one process at a time. The first pair starts with the parent, and
 each later pair swaps which side goes first, so a drifting core favours
-neither. BENCH_<label>.json, at the root of the checkout, then holds per
+neither. Before the first pair of the first workload, each side runs that
+workload once more, and the result is printed on a line starting with
+`warm-up` and discarded: the session's first run absorbs the cold start,
+which would otherwise land on the parent's first measured run.
+BENCH_<label>.json, at the root of the checkout, then holds per
 workload and end-to-end metric: every run's value, each side's median and
 quartiles, and the number of pairs the change won (better, in the direction
 BENCHMARK.json gives, not tied). It also holds the failed operations of
@@ -136,6 +140,16 @@ def compare(trees: dict[str, Path], workload: str, pairs: int, seconds: float) -
     return summarise(runs)
 
 
+def measure(trees: dict[str, Path], pairs: int, seconds: float) -> dict:
+    """Per workload, the summary of `pairs` alternating runs (see compare),
+    after one discarded warm-up run of the first workload in each tree."""
+    first = WORKLOADS[0]
+    for side in trees:
+        wall = run_once(trees[side], first, seconds)["metrics"]["wall_s"]["value"]
+        print(f"warm-up {first} {side}: wall_s {wall:.4f}, discarded", flush=True)
+    return {w: compare(trees, w, pairs, seconds) for w in WORKLOADS}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
@@ -156,7 +170,7 @@ def main() -> int:
                     trees["change"] / part,
                     ignore=shutil.ignore_patterns("__pycache__", "out"),
                 )
-            summary = {w: compare(trees, w, args.pairs, args.seconds) for w in WORKLOADS}
+            summary = measure(trees, args.pairs, args.seconds)
     except Failed as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
